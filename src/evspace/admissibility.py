@@ -35,11 +35,14 @@ def _center_radius_sq(t: CondTriple) -> tuple[Fraction, Fraction]:
     return s + u, 4 * s * u
 
 
-def complex_bounds(t: CondTriple) -> tuple[float, float]:
-    """Float rendering of the complex-QS interval (display only)."""
-    center, radius_sq = _center_radius_sq(t)
-    radius = math.sqrt(radius_sq)
-    return float(center) - radius, float(center) + radius
+def _in_classical(t: CondTriple, bounds: tuple[Fraction, Fraction]) -> bool:
+    lo, hi = bounds
+    return lo <= t.r <= hi
+
+
+def _quantum_gap(t: CondTriple, center: Fraction, radius_sq: Fraction) -> Fraction:
+    """(r - center)^2 - radius^2: <= 0 iff complex-QS, == 0 iff real-QS."""
+    return (t.r - center) ** 2 - radius_sq
 
 
 def check_classical(t: CondTriple) -> bool:
@@ -51,19 +54,16 @@ def check_classical(t: CondTriple) -> bool:
     says whether the premise was verified, and ``pitowsky.membership`` on
     the full unary-and-pairwise vector decides the space without it.
     """
-    lo, hi = classical_bounds(t)
-    return lo <= t.r <= hi
+    return _in_classical(t, classical_bounds(t))
 
 
 def check_complex_qs(t: CondTriple) -> bool:
-    center, radius_sq = _center_radius_sq(t)
-    return (t.r - center) ** 2 <= radius_sq
+    return _quantum_gap(t, *_center_radius_sq(t)) <= 0
 
 
 def check_real_qs(t: CondTriple) -> bool:
     """True iff r sits exactly on an endpoint of the complex-QS interval."""
-    center, radius_sq = _center_radius_sq(t)
-    return (t.r - center) ** 2 == radius_sq
+    return _quantum_gap(t, *_center_radius_sq(t)) == 0
 
 
 def classify(t: CondTriple) -> AdmissibilityVerdict:
@@ -73,18 +73,20 @@ def classify(t: CondTriple) -> AdmissibilityVerdict:
     is absent or differs, the verdict is still computed but flagged with
     symmetry_checked = False.
     """
-    cls_lo, cls_hi = classical_bounds(t)
+    bounds = classical_bounds(t)
     center, radius_sq = _center_radius_sq(t)
-    classical = cls_lo <= t.r <= cls_hi
-    complex_qs = (t.r - center) ** 2 <= radius_sq
-    real_qs = (t.r - center) ** 2 == radius_sq
-    boundary = (classical and (t.r == cls_lo or t.r == cls_hi)) or real_qs
+    classical = _in_classical(t, bounds)
+    gap = _quantum_gap(t, center, radius_sq)
+    real_qs = gap == 0
+    boundary = (classical and t.r in bounds) or real_qs
+    # float rendering of the complex-QS interval (display only)
+    radius = math.sqrt(radius_sq)
     return AdmissibilityVerdict(
         classical=classical,
         real_qs=real_qs,
-        complex_qs=complex_qs,
-        classical_bounds=(cls_lo, cls_hi),
-        complex_bounds=complex_bounds(t),
+        complex_qs=gap <= 0,
+        classical_bounds=bounds,
+        complex_bounds=(float(center) - radius, float(center) + radius),
         symmetry_checked=t.marginal == HALF,
         boundary=boundary,
     )

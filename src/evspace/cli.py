@@ -33,12 +33,14 @@ EXIT_CAP = 3
 @dataclass
 class Report:
     """Ordered key/value record; the text rendering is stable and parses
-    back into an equal Report."""
+    back into an equal Report.  ``float_output`` renders rationals as
+    decimals (display only)."""
 
     fields: list[tuple[str, str]] = field(default_factory=list)
+    float_output: bool = field(default=False, compare=False)
 
     def add(self, key: str, value) -> None:
-        self.fields.append((key, _render_value(value)))
+        self.fields.append((key, _render_value(value, self.float_output)))
 
     def warn(self, message: str) -> None:
         self.fields.append(("warning", message))
@@ -59,14 +61,11 @@ class Report:
         return cls(fields)
 
 
-_float_output = False
-
-
-def _render_value(value) -> str:
+def _render_value(value, float_output: bool) -> str:
     if isinstance(value, bool):
         return "yes" if value else "no"
     if isinstance(value, Fraction):
-        return repr(float(value)) if _float_output else str(value)
+        return repr(float(value)) if float_output else str(value)
     if isinstance(value, float):
         return f"{value:.15g}"
     return str(value)
@@ -102,7 +101,7 @@ def cmd_check(args) -> tuple[int, Report]:
     marginal = parse_prob(args.marginal) if args.marginal else None
     t = CondTriple(parse_prob(args.p), parse_prob(args.q), parse_prob(args.r),
                    marginal=marginal)
-    report = Report()
+    report = Report(float_output=args.float)
     _triple_fields(report, t)
     _verdict_fields(report, admissibility.classify(t))
     return EXIT_OK, report
@@ -111,15 +110,16 @@ def cmd_check(args) -> tuple[int, Report]:
 def cmd_vector(args) -> tuple[int, Report]:
     with open(args.file) as fh:
         v = parse_correlation_vector(fh.read())
-    max_n = pitowsky.max_n_from_env(args.max_n)
-    report = Report()
+    max_n = pitowsky.max_n_from_env()
+    report = Report(float_output=args.float)
     report.add("n", v.n)
     if args.subcommand == "membership":
         cert = pitowsky.membership(v, max_n)
         report.add("feasible", cert.feasible)
         _certificate_fields(report, "", cert)
     else:
-        dec = pitowsky.decompose(v, args.relevance, max_n)
+        relevance = v.n if args.relevance is None else args.relevance
+        dec = pitowsky.decompose(v, relevance, max_n)
         report.add("subsets", len(dec.subsets))
         for idx, (events, cert) in enumerate(dec.subsets, 1):
             report.add(f"subset.{idx}.events", ",".join(map(str, events)))
@@ -143,7 +143,7 @@ def cmd_estimate(args) -> tuple[int, Report]:
     with open(args.table) as fh:
         table = parse_event_table(fh.read())
     t = estimation.estimate_triple(table, args.a, args.b, args.c, _strategy(args))
-    report = Report()
+    report = Report(float_output=args.float)
     _triple_fields(report, t)
     _verdict_fields(report, admissibility.classify(t))
     return EXIT_OK, report
@@ -162,7 +162,7 @@ def cmd_mix(args) -> tuple[int, Report]:
     if len(triples) != 2:
         raise FormatError("mix expects exactly two table files")
     mixed = estimation.broker_mix(triples, [alpha, 1 - alpha])
-    report = Report()
+    report = Report(float_output=args.float)
     report.add("alpha", alpha)
     _triple_fields(report, mixed)
     _verdict_fields(report, admissibility.classify(mixed))
@@ -177,7 +177,7 @@ def cmd_smooth(args) -> tuple[int, Report]:
     coeffs = estimation.MixtureSpec(parse_prob(args.alpha), parse_prob(args.beta),
                                     parse_prob(args.gamma))
     smoothed = estimation.smooth_triple(base, background, coeffs)
-    report = Report()
+    report = Report(float_output=args.float)
     _triple_fields(report, smoothed)
     _verdict_fields(report, admissibility.classify(smoothed))
     return EXIT_OK, report
@@ -185,7 +185,7 @@ def cmd_smooth(args) -> tuple[int, Report]:
 
 def cmd_realize(args) -> tuple[int, Report]:
     t = CondTriple(parse_prob(args.p), parse_prob(args.q), parse_prob(args.r))
-    report = Report()
+    report = Report(float_output=args.float)
     _triple_fields(report, t)
     try:
         real = quantum.realize(t)
@@ -209,7 +209,7 @@ def cmd_survey(args) -> tuple[int, Report]:
         qrels_text = fh.read()
     corpus = estimation.parse_corpus(docs_text, qrels_text)
     rows = estimation.survey_corpus(corpus)
-    report = Report()
+    report = Report(float_output=args.float)
     report.add("documents", corpus.N)
     report.add("rows", len(rows))
     for idx, row in enumerate(rows, 1):
@@ -398,7 +398,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("subcommand", choices=["membership", "decompose"])
     p.add_argument("--relevance", type=int, default=None,
                    help="relevance event index for decompose (default n)")
-    p.add_argument("--max-n", type=int, default=pitowsky.DEFAULT_MAX_N)
     p.set_defaults(fn=cmd_vector)
 
     p = sub.add_parser("estimate", help="estimate a triple from an event table")
@@ -447,16 +446,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    global _float_output
     parser = _build_parser()
     args = parser.parse_args(argv)
-    _float_output = args.float
-    if getattr(args, "command", None) == "vector" and args.relevance is None:
-        args.relevance = None  # resolved after the file is read
     try:
-        if args.fn is cmd_vector and args.relevance is None:
-            with open(args.file) as fh:
-                args.relevance = parse_correlation_vector(fh.read()).n
         code, report = args.fn(args)
     except (FormatError, ValueError, OSError) as exc:
         if isinstance(exc, CapExceededError):

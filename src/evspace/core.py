@@ -1,9 +1,8 @@
 """Shared domain types and text formats.
 
 Every probability in this package is an exact rational (``fractions.Fraction``)
-in [0, 1].  Comparison is exact by default; an opt-in floating mode with a
-configurable tolerance exists for callers that mix in transcendental values.
-All types defined here are immutable after construction.
+in [0, 1], and every comparison is exact.  All types defined here are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -20,40 +19,6 @@ ONE = Fraction(1)
 
 class FormatError(ValueError):
     """An input literal or file does not follow the expected text format."""
-
-
-# ---------------------------------------------------------------------------
-# Evaluation mode
-# ---------------------------------------------------------------------------
-
-_float_mode = False
-_epsilon = Fraction(1, 10**9)
-
-
-def set_float_comparison(epsilon: float | Fraction = Fraction(1, 10**9)) -> None:
-    """Switch value comparison to tolerant mode: |a - b| <= epsilon counts as equal."""
-    global _float_mode, _epsilon
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
-    _float_mode = True
-    _epsilon = Fraction(epsilon)
-
-
-def set_exact_comparison() -> None:
-    global _float_mode
-    _float_mode = False
-
-
-def values_equal(a: Fraction, b: Fraction) -> bool:
-    if _float_mode:
-        return abs(a - b) <= _epsilon
-    return a == b
-
-
-def values_leq(a: Fraction, b: Fraction) -> bool:
-    if _float_mode:
-        return a <= b or abs(a - b) <= _epsilon
-    return a <= b
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +176,7 @@ class EventTable:
         try:
             return self.observables.index(name)
         except ValueError:
-            raise KeyError(f"unknown observable {name!r}") from None
+            raise ValueError(f"unknown observable {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +283,10 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
         key, _, value = ln.partition("=")
         key = key.strip().replace(" ", "")
         if key == "n":
-            n = int(value.strip())
+            try:
+                n = int(value.strip())
+            except ValueError:
+                raise FormatError(f"bad n= line: {ln!r}") from None
             continue
         m = _VEC_KEY.match(key)
         if not m:

@@ -26,9 +26,14 @@ class CapExceededError(ValueError):
     """The vector has more events than the configured 2^n LP cap allows."""
 
 
-def max_n_from_env(default: int = DEFAULT_MAX_N) -> int:
+def max_n_from_env() -> int:
     value = os.environ.get("EVSPACE_MAX_N")
-    return int(value) if value else default
+    if not value:
+        return DEFAULT_MAX_N
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"EVSPACE_MAX_N is not an integer: {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -68,10 +73,6 @@ class VertexVector:
 
 def vertex_vector(bits: str) -> VertexVector:
     return VertexVector(bits)
-
-
-def _all_bits(n: int) -> list[str]:
-    return [format(k, f"0{n}b") for k in range(2 ** n)]
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +115,7 @@ class Witness:
         for i, j in sorted(self.pairwise):
             parts.append(f"{self.pairwise[(i, j)]}·p{i},{j}")
         parts.append(str(self.const))
-        return "witness: " + " + ".join(parts) + " > 0"
+        return " + ".join(parts) + " > 0"
 
 
 @dataclass(frozen=True)
@@ -122,12 +123,6 @@ class PolytopeCertificate:
     feasible: bool
     weights: Optional[Mapping[str, Fraction]] = None
     witness: Optional[Witness] = None
-
-    def render(self) -> str:
-        if self.feasible:
-            return "\n".join(
-                f"b={bits} w={w}" for bits, w in sorted(self.weights.items()))
-        return self.witness.render()
 
 
 # ---------------------------------------------------------------------------
@@ -142,23 +137,21 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
     entries = v.entries()
     if not entries:
         raise ValueError("empty correlation vector")
-    bits_list = _all_bits(v.n)
+    # column k is the vertex whose bit i is (k >> (n - i)) & 1; an entry's
+    # cell is 1 iff every bit of the entry's events is set
+    size = 1 << v.n
     rows = []
     rhs = []
     for key, value in entries:
-        if key[0] == "u":
-            i = key[1]
-            rows.append([Fraction(int(b[i - 1])) for b in bits_list])
-        else:
-            i, j = key[1], key[2]
-            rows.append([Fraction(int(b[i - 1]) * int(b[j - 1])) for b in bits_list])
+        mask = sum(1 << (v.n - i) for i in key[1:])
+        rows.append([ONE if k & mask == mask else ZERO for k in range(size)])
         rhs.append(value)
-    rows.append([ONE] * len(bits_list))
+    rows.append([ONE] * size)
     rhs.append(ONE)
 
     x, y = solve_feasibility(rows, rhs)
     if x is not None:
-        weights = {bits_list[k]: x[k] for k in range(len(bits_list)) if x[k] != 0}
+        weights = {format(k, f"0{v.n}b"): x[k] for k in range(size) if x[k] != 0}
         cert = PolytopeCertificate(feasible=True, weights=weights)
         _verify_weights(v, cert.weights)
         return cert
@@ -205,8 +198,8 @@ def _verify_weights(v: CorrelationVector, weights: Mapping[str, Fraction]) -> No
 def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
     if witness.evaluate(v) <= 0:
         raise RuntimeError("witness does not separate the input")
-    for bits in _all_bits(v.n):
-        if witness.evaluate_bits(bits) > 0:
+    for k in range(1 << v.n):
+        if witness.evaluate_bits(format(k, f"0{v.n}b")) > 0:
             raise RuntimeError("witness fails on a polytope vertex")
 
 
@@ -304,11 +297,12 @@ def _restrict(v: CorrelationVector, events: tuple[int, ...]) -> CorrelationVecto
 def _feasibility(v: CorrelationVector, events: tuple[int, ...],
                  max_n: int) -> PolytopeCertificate:
     if len(events) == 1:
-        # singleton: weight p on "present", 1-p on "absent"; always feasible
-        i = events[0]
-        p = v.unary.get(i, ZERO)
-        sub = CorrelationVector(2, {1: p}, {})
-        return membership(sub, max_n)
+        # singleton: weight p on "present", 1-p on "absent"; always feasible,
+        # keyed over two bits as the n >= 2 vector it is checked against
+        p = v.unary.get(events[0], ZERO)
+        weights = {bits: w for bits, w in (("00", 1 - p), ("10", p)) if w != 0}
+        _verify_weights(CorrelationVector(2, {1: p}), weights)
+        return PolytopeCertificate(feasible=True, weights=weights)
     return membership(_restrict(v, events), max_n)
 
 

@@ -54,16 +54,6 @@ class QuantumRealization:
     phase: float
     field: Field
 
-    def render(self) -> str:
-        lines = []
-        for name, vec in (("a", self.a), ("b", self.b), ("c", self.c)):
-            comps = "  ".join(
-                f"({z.real:.15g}, {z.imag:.15g})" for z in vec.components)
-            lines.append(f"{name}: {comps}")
-        lines.append(f"phase: {self.phase:.15g}")
-        lines.append(f"field: {self.field.value}")
-        return "\n".join(lines)
-
 
 def amplitude_prob(x: StateVector, y: StateVector) -> float:
     """|<y|x>|^2, the squared amplitude between two unit vectors."""

@@ -81,6 +81,12 @@ class TestClassify:
             assert check_complex_qs(t)
 
     @given(triples)
+    def test_flags_match_check_functions(self, t):
+        v = classify(t)
+        assert (v.classical, v.real_qs, v.complex_qs) == (
+            check_classical(t), check_real_qs(t), check_complex_qs(t))
+
+    @given(triples)
     def test_pure_function(self, t):
         assert classify(t) == classify(t)
 

@@ -1,9 +1,10 @@
 import os
+from fractions import Fraction
 from importlib import resources
 
 import pytest
 
-from evspace import cli
+from evspace import cli, pitowsky
 from evspace.cli import Report, main
 
 
@@ -60,7 +61,72 @@ class TestVector:
         fields = report_dict(out)
         assert code == 0
         assert fields["feasible"] == "no"
-        assert fields["witness"].startswith("witness:")
+        assert "witness: 0·p1 + -1·p2 + 1·p1,2 + 0 > 0\n" in out
+
+    def test_membership_golden(self, capsys):
+        code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                           "membership")
+        assert code == 0
+        assert out == (
+            "n: 3\n"
+            "feasible: no\n"
+            "witness: 1·p1 + 1·p2 + 1·p3 + -1·p1,2 + -1·p1,3 + -1·p2,3 + -1 > 0\n")
+
+    def test_decompose_golden(self, capsys):
+        code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                           "decompose")
+        assert code == 0
+        assert out == (
+            "n: 3\n"
+            "subsets: 2\n"
+            "subset.1.events: 2,3\n"
+            "subset.1.weight.00: 1/8\n"
+            "subset.1.weight.01: 3/8\n"
+            "subset.1.weight.10: 3/8\n"
+            "subset.1.weight.11: 1/8\n"
+            "subset.2.events: 1\n"
+            "subset.2.weight.00: 1/2\n"
+            "subset.2.weight.10: 1/2\n")
+
+    def test_one_parse_and_no_singleton_lp(self, capsys, monkeypatch):
+        calls = {"parse": 0, "lp": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(cli, "parse_correlation_vector",
+                            counting("parse", cli.parse_correlation_vector))
+        monkeypatch.setattr(pitowsky, "solve_feasibility",
+                            counting("lp", pitowsky.solve_feasibility))
+        code, _, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                         "decompose")
+        assert code == 0
+        # the full set and {2, 3} need an LP; the singleton {1} does not
+        assert calls == {"parse": 1, "lp": 2}
+
+    def test_relevance_zero_exits_2(self, capsys):
+        code, out, err = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                             "decompose", "--relevance", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: relevance index 0 outside 1..3\n"
+
+    def test_bad_n_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.vec"
+        bad.write_text("n=abc\np1=1/2\n")
+        code, _, err = run(capsys, "vector", str(bad), "membership")
+        assert code == 2
+        assert err == "error: bad n= line: 'n=abc'\n"
+
+    def test_bad_max_n_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("EVSPACE_MAX_N", "x")
+        code, _, err = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                           "membership")
+        assert code == 2
+        assert err == "error: EVSPACE_MAX_N is not an integer: 'x'\n"
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
@@ -91,6 +157,13 @@ class TestEstimateMixSmooth:
         assert (fields["p"], fields["q"], fields["r"]) == ("2/5", "4/5", "1/5")
         assert fields["classical"] == "yes"
         assert fields["boundary"] == "yes"
+
+    def test_estimate_unknown_observable_exits_2(self, capsys):
+        code, out, err = run(capsys, "estimate", fixture_path("fig1.tbl"),
+                             "A", "B", "D")
+        assert code == 2
+        assert out == ""
+        assert err == "error: unknown observable 'D'\n"
 
     def test_mix(self, capsys):
         code, out, _ = run(capsys, "mix", "--alpha", "1/2",
@@ -131,6 +204,15 @@ class TestRealizeSurvey:
         assert any("verdict=YYY" in v for v in fields.values())
         assert any("verdict=NYY" in v for v in fields.values())
 
+    def test_survey_qrels_line_is_one_pair(self, tmp_path, capsys):
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 d1 d2\n")
+        code, out, err = run(capsys, "survey", fixture_path("toy_docs.txt"),
+                             str(qrels))
+        assert code == 2
+        assert out == ""
+        assert err == "error: bad qrels line: 'q1 d1 d2'\n"
+
 
 class TestReproduce:
     def test_fresh_checkout_passes(self, capsys):
@@ -147,6 +229,12 @@ class TestReport:
         report.add("p", "1/2")
         report.add("classical", True)
         report.warn("something")
+        assert Report.parse(report.to_text()) == report
+
+    def test_float_output_roundtrip(self):
+        report = Report(float_output=True)
+        report.add("p", Fraction(1, 2))
+        assert report.to_text() == "p: 0.5\n"
         assert Report.parse(report.to_text()) == report
 
     def test_stable_order(self, capsys):

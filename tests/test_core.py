@@ -141,20 +141,7 @@ class TestCorrelationVector:
         with pytest.raises(ValueError):
             CorrelationVector(2, {3: F(1, 2)})
 
+    def test_bad_n_names_the_line(self):
+        with pytest.raises(FormatError, match="bad n= line: 'n=abc'"):
+            parse_correlation_vector("n=abc\np1=1/2\n")
 
-class TestComparisonMode:
-    def teardown_method(self):
-        core.set_exact_comparison()
-
-    def test_exact_default(self):
-        assert not core.values_equal(F(1, 3), F(1, 3) + F(1, 10**12))
-
-    def test_float_mode(self):
-        core.set_float_comparison(F(1, 10**9))
-        assert core.values_equal(F(1, 3), F(1, 3) + F(1, 10**12))
-        assert core.values_leq(F(1, 3) + F(1, 10**12), F(1, 3))
-
-    @given(st.fractions(0, 1), st.fractions(0, 1), st.fractions(0, 1))
-    def test_exact_comparison_transitive(self, a, b, c):
-        if core.values_leq(a, b) and core.values_leq(b, c):
-            assert core.values_leq(a, c)
