@@ -2,7 +2,8 @@
 quantum realizations, the corpus survey, and the golden ``reproduce`` harness.
 
 Exit statuses: 0 = computed (violations are results, not failures),
-1 = reproduce mismatch, 2 = input error, 3 = resource cap exceeded.
+1 = reproduce mismatch, 2 = input error, 3 = resource cap exceeded,
+4 = internal error, such as a certificate that failed its own re-check.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_CAP = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +458,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_CAP
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except RuntimeError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     if report is not None:
         sys.stdout.write(report.to_text())
     return code

@@ -144,9 +144,9 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
     rhs = []
     for key, value in entries:
         mask = sum(1 << (v.n - i) for i in key[1:])
-        rows.append([ONE if k & mask == mask else ZERO for k in range(size)])
+        rows.append([1 if k & mask == mask else 0 for k in range(size)])
         rhs.append(value)
-    rows.append([ONE] * size)
+    rows.append([1] * size)
     rhs.append(ONE)
 
     x, y = solve_feasibility(rows, rhs)
@@ -198,8 +198,14 @@ def _verify_weights(v: CorrelationVector, weights: Mapping[str, Fraction]) -> No
 def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
     if witness.evaluate(v) <= 0:
         raise RuntimeError("witness does not separate the input")
-    for k in range(1 << v.n):
-        if witness.evaluate_bits(format(k, f"0{v.n}b")) > 0:
+    # events without a nonzero coefficient do not change the witness's value,
+    # so the 2^k assignments of the k events in its support cover every vertex
+    terms = [((i,), c) for i, c in witness.unary.items() if c]
+    terms += [(key, c) for key, c in witness.pairwise.items() if c]
+    bit = {e: 1 << k for k, e in enumerate({e for key, _ in terms for e in key})}
+    masks = [(sum(bit[e] for e in key), c) for key, c in terms]
+    for a in range(1 << len(bit)):
+        if witness.const + sum(c for mask, c in masks if a & mask == mask) > 0:
             raise RuntimeError("witness fails on a polytope vertex")
 
 

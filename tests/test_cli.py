@@ -141,6 +141,20 @@ class TestVector:
         code, _, _ = run(capsys, "vector", str(bad), "membership")
         assert code == 2
 
+    @pytest.mark.parametrize("x, y, message", [
+        ([Fraction(1), 0, 0, 0], None, "certificate fails to reproduce p1"),
+        (None, [0, 0, 0, Fraction(1)], "witness fails on a polytope vertex"),
+    ])
+    def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch,
+                                       x, y, message):
+        vec = tmp_path / "v.vec"
+        vec.write_text("n=2\np1=1/2\np2=1/2\np1,2=1/4\n")
+        monkeypatch.setattr(pitowsky, "solve_feasibility", lambda rows, rhs: (x, y))
+        code, out, err = run(capsys, "vector", str(vec), "membership")
+        assert code == 4
+        assert out == ""
+        assert err == f"error: internal: {message}\n"
+
     def test_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("EVSPACE_MAX_N", "1")
         code, _, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from evspace.admissibility import check_classical
 from evspace.core import CondTriple, CorrelationVector
-from evspace.pitowsky import (CapExceededError, build_ranking_vector,
-                              closed_form_n2, closed_form_n3, decompose,
-                              membership, vertex_vector)
+from evspace.pitowsky import (CapExceededError, Witness, _verify_witness,
+                              build_ranking_vector, closed_form_n2, closed_form_n3,
+                              decompose, membership, vertex_vector)
 
 from conftest import rand_prob
 
@@ -109,6 +109,61 @@ class TestMembership:
                 [alpha * vecs[0].pairwise[(1, 2)]
                  + (1 - alpha) * vecs[1].pairwise[(1, 2)]])
             assert membership(mix).feasible
+
+
+def _verify_all_vertices(v, witness):
+    """Reference check: evaluate the witness on every one of the 2^n vertices."""
+    if witness.evaluate(v) <= 0:
+        raise RuntimeError("witness does not separate the input")
+    for k in range(1 << v.n):
+        if witness.evaluate_bits(format(k, f"0{v.n}b")) > 0:
+            raise RuntimeError("witness fails on a polytope vertex")
+
+
+class TestVerifyWitness:
+    def test_agrees_with_every_vertex_check(self, rng):
+        # the LP's witnesses on random infeasible vectors, each also with one
+        # coefficient moved by one, are checked both ways
+        outcomes = []
+        while len(outcomes) < 300:
+            n = rng.randint(2, 5)
+            pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+            v = complete_vector(n, [rand_prob(rng, 4) for _ in range(n)],
+                                [rand_prob(rng, 4) for _ in pairs])
+            cert = membership(v)
+            if cert.feasible:
+                continue
+            w = cert.witness
+            key = rng.choice([None] + list(w.unary) + list(w.pairwise))
+            step = rng.choice((-1, 1))
+            unary, pairwise = dict(w.unary), dict(w.pairwise)
+            if key in unary:
+                unary[key] += step
+            elif key in pairwise:
+                pairwise[key] += step
+            for witness in (w, Witness(unary, pairwise,
+                                       w.const + step * (key is None))):
+                errors = []
+                for check in (_verify_witness, _verify_all_vertices):
+                    try:
+                        check(v, witness)
+                        errors.append(None)
+                    except RuntimeError as exc:
+                        errors.append(str(exc))
+                assert errors[0] == errors[1], (v, witness)
+                outcomes.append(errors[0])
+        assert set(outcomes) == {None, "witness does not separate the input",
+                                 "witness fails on a polytope vertex"}
+
+    def test_violation_on_a_two_event_support_caught(self):
+        # p1 - p1,2 is positive on v and on every vertex with bits 1, 2 = 1, 0
+        v = complete_vector(4, [F(1, 2)] * 4, [F(1, 4)] * 6)
+        witness = Witness(unary={1: 1, 2: 0, 3: 0, 4: 0},
+                          pairwise={(1, 2): -1, (1, 3): 0, (1, 4): 0,
+                                    (2, 3): 0, (2, 4): 0, (3, 4): 0},
+                          const=0)
+        with pytest.raises(RuntimeError, match="fails on a polytope vertex"):
+            _verify_witness(v, witness)
 
 
 class TestClosedForms:

@@ -1,0 +1,148 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from evspace import simplex
+from evspace.simplex import solve_feasibility
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
+
+# Reference: the rational-tableau solver that the fraction-free one replaced,
+# kept as it was except that it also returns its pivot count.  The integer
+# tableau must take the same Bland pivots and so return the same x and y.
+def reference_solve(rows, rhs):
+    m = len(rows)
+    if m == 0:
+        return [], None, 0
+    n = len(rows[0])
+    signs = [ONE] * m
+    tableau = []
+    for i in range(m):
+        row = list(rows[i])
+        if len(row) != n:
+            raise ValueError("ragged constraint matrix")
+        b = rhs[i]
+        if b < 0:
+            row = [-v for v in row]
+            b = -b
+            signs[i] = -ONE
+        art = [ONE if k == i else ZERO for k in range(m)]
+        tableau.append(row + art + [b])
+    basis = list(range(n, n + m))
+    width = n + m
+    reduced = [ZERO] * (width + 1)
+    for j in range(n):
+        reduced[j] = -sum(tableau[i][j] for i in range(m))
+    reduced[width] = -sum(tableau[i][width] for i in range(m))
+    pivots = 0
+
+    while True:
+        enter = next((j for j in range(width) if reduced[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            coeff = tableau[i][enter]
+            if coeff > 0:
+                ratio = tableau[i][width] / coeff
+                if best is None or ratio < best or (
+                        ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise RuntimeError("phase-1 objective unbounded; inconsistent state")
+        _reference_pivot(tableau, reduced, basis, leave, enter, width)
+        pivots += 1
+
+    objective = sum(tableau[i][width] for i in range(m) if basis[i] >= n)
+    if objective > 0:
+        y = [(ONE - reduced[n + i]) * signs[i] for i in range(m)]
+        return None, y, pivots
+    x = [ZERO] * n
+    for i in range(m):
+        if basis[i] < n:
+            x[basis[i]] = tableau[i][width]
+    return x, None, pivots
+
+
+def _reference_pivot(tableau, reduced, basis, leave, enter, width):
+    pivot = tableau[leave][enter]
+    prow = [v / pivot for v in tableau[leave]]
+    tableau[leave] = prow
+    for i in range(len(tableau)):
+        if i == leave:
+            continue
+        f = tableau[i][enter]
+        if f:
+            tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+    f = reduced[enter]
+    if f:
+        for j in range(width + 1):
+            reduced[j] -= f * prow[j]
+    basis[leave] = enter
+
+
+def _entry(rng):
+    """Zero, a negative or positive int, or a fraction: small values so that
+    ratio ties and degenerate pivots occur."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.randint(-3, 3)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+
+
+def random_lp(rng):
+    m, n = rng.randint(1, 5), rng.randint(1, 8)
+    rows = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        # feasible by construction: b = A x0 with x0 >= 0
+        x0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
+        rhs = [sum((a * x for a, x in zip(row, x0)), ZERO) for row in rows]
+    else:
+        rhs = [_entry(rng) for _ in range(m)]
+    return rows, rhs
+
+
+def _dot(u, v):
+    return sum((a * b for a, b in zip(u, v)), ZERO)
+
+
+def test_same_certificates_and_pivots_as_the_rational_tableau(monkeypatch):
+    calls = []
+    pivot = simplex._pivot
+    monkeypatch.setattr(simplex, "_pivot",
+                        lambda *args: calls.append(1) or pivot(*args))
+    rng = random.Random(20121)
+    outcomes = set()
+    for trial in range(600):
+        rows, rhs = random_lp(rng)
+        calls.clear()
+        x, y = solve_feasibility(rows, rhs)
+        rx, ry, pivots = reference_solve([[Fraction(v) for v in row] for row in rows],
+                                         [Fraction(v) for v in rhs])
+        assert (x, y) == (rx, ry), (trial, rows, rhs)
+        assert len(calls) == pivots, (trial, rows, rhs)
+        if x is not None:
+            assert all(isinstance(v, Fraction) and v >= 0 for v in x)
+            assert [_dot(row, x) for row in rows] == list(rhs)
+        else:
+            assert all(isinstance(v, Fraction) for v in y)
+            assert all(_dot(y, col) <= 0 for col in zip(*rows))
+            assert _dot(y, rhs) > 0
+        outcomes.add((x is not None, pivots > 1))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_no_rows():
+    assert solve_feasibility([], []) == ([], None)
+
+
+def test_ragged_matrix_rejected():
+    with pytest.raises(ValueError, match="ragged"):
+        solve_feasibility([[1, 0], [1]], [Fraction(1, 2), 1])
