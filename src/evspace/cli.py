@@ -9,6 +9,7 @@ Exit statuses: 0 = computed (violations are results, not failures),
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -16,10 +17,10 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from . import admissibility, estimation, pitowsky, quantum
-from .core import (CondTriple, CorrelationVector, FormatError, parse_event_table,
-                   parse_correlation_vector, parse_prob, parse_rational)
+from .core import (CapExceededError, CondTriple, CorrelationVector, FormatError,
+                   parse_event_table, parse_correlation_vector, parse_prob,
+                   parse_rational)
 from .estimation import MissingStrategy
-from .pitowsky import CapExceededError
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -379,7 +380,9 @@ def cmd_reproduce(args) -> tuple[int, Report]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="evspace",
         description="Admissibility of observed conditional probabilities: "

@@ -21,6 +21,11 @@ class FormatError(ValueError):
     """An input literal or file does not follow the expected text format."""
 
 
+class CapExceededError(ValueError):
+    """An input is larger than a fixed bound on the work it would take:
+    the 2^n LP cap on a correlation vector or the survey's row bound."""
+
+
 # ---------------------------------------------------------------------------
 # Exact probabilities
 # ---------------------------------------------------------------------------

@@ -9,14 +9,20 @@ equal-marginals premise these coincide with their symmetric counterparts.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import admissibility
-from .core import (AdmissibilityVerdict, CondTriple, EventTable, FormatError,
-                   Ternary, as_prob)
+from .core import (AdmissibilityVerdict, CapExceededError, CondTriple,
+                   EventTable, FormatError, Ternary, as_prob)
+
+# bound on survey rows, counted as Σ C(k, 2) over queries before any work:
+# each row takes about 90 µs on one x86_64 core, so 10^6 rows is 1.5 minutes
+MAX_SURVEY_ROWS = 10**6
 
 
 class ZeroConditioningError(ValueError):
@@ -197,13 +203,19 @@ class SurveyRow:
 def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
     """For each query, pair up the terms whose occurrence probability equals
     the probability of relevance exactly, estimate (p, q, r) by relative
-    frequency, and classify the triple."""
+    frequency, and classify the triple.  A corpus that would give more than
+    MAX_SURVEY_ROWS rows raises CapExceededError before any triple is built."""
     if corpus.N == 0:
         raise ValueError("empty corpus")
     postings: dict[str, set[str]] = {}
     for doc_id, terms in corpus.documents:
         for term in terms:
             postings.setdefault(term, set()).add(doc_id)
+    terms_by_df = Counter(len(docs) for docs in postings.values())
+    total = sum(math.comb(terms_by_df[len(relevant)], 2)
+                for _, relevant in corpus.queries if relevant)
+    if total > MAX_SURVEY_ROWS:
+        raise CapExceededError(f"survey of {total} rows exceeds cap {MAX_SURVEY_ROWS}")
     rows: list[SurveyRow] = []
     for query_id, relevant in corpus.queries:
         if not relevant:

@@ -5,6 +5,7 @@ combination of the 2^n vertex vectors derived from binary strings.  Absent
 pairwise entries contribute no equation: they are existentially completed.
 Feasibility is decided by the exact phase-1 simplex; certificates (weights or
 a Farkas separating functional) are re-verified before being returned.
+``decompose`` first rules out subsets that break a pair or triangle facet.
 """
 
 from __future__ import annotations
@@ -16,14 +17,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .core import CorrelationVector, ONE, ZERO, as_prob
+from .core import CapExceededError, CorrelationVector, ONE, ZERO, as_prob
 from .simplex import solve_feasibility
 
 DEFAULT_MAX_N = 12
-
-
-class CapExceededError(ValueError):
-    """The vector has more events than the configured 2^n LP cap allows."""
 
 
 def max_n_from_env() -> int:
@@ -221,11 +218,39 @@ def _require_complete(v: CorrelationVector, n: int) -> None:
 def closed_form_n2(v: CorrelationVector) -> bool:
     """Displayed two-event inequality system; equivalent to membership."""
     _require_complete(v, 2)
-    p1, p2 = v.unary[1], v.unary[2]
-    p12 = v.pairwise[(1, 2)]
-    return (ZERO <= p12 <= p1 <= ONE
-            and ZERO <= p12 <= p2 <= ONE
-            and ZERO <= p1 + p2 - p12 <= ONE)
+    return _pair_holds(v.unary[1], v.unary[2], v.pairwise[(1, 2)])
+
+
+def _pair_holds(pi: Fraction, pj: Fraction, pij: Fraction) -> bool:
+    """The n=2 system, for probabilities in [0, 1]: its rows are the trivial
+    facets of the correlation polytope."""
+    return ZERO <= pij <= min(pi, pj) and pi + pj - pij <= ONE
+
+
+def _triangle_holds(p: Mapping[int, Fraction],
+                    pp: Mapping[tuple[int, int], Fraction],
+                    i: int, j: int, k: int) -> bool:
+    """The four triangle facets of the three-event polytope, i < j < k."""
+    pij, pik, pjk = pp[(i, j)], pp[(i, k)], pp[(j, k)]
+    return (p[i] + p[j] + p[k] - pij - pik - pjk <= ONE
+            and pij + pik - pjk <= p[i]
+            and pij + pjk - pik <= p[j]
+            and pik + pjk - pij <= p[k])
+
+
+def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
+    """The pairs and triples of events whose own entries break a pair row or
+    a triangle row.  Each names a restriction of v outside the polytope, so
+    every superset of it is infeasible.  A row is read only when all of its
+    entries are present: absent entries are existentially completed."""
+    p, pp = v.unary, v.pairwise
+    faces = [(i, j) for (i, j), pij in sorted(pp.items())
+             if i in p and j in p and not _pair_holds(p[i], p[j], pij)]
+    for i, j, k in combinations(sorted(p), 3):
+        if ((i, j) in pp and (i, k) in pp and (j, k) in pp
+                and not _triangle_holds(p, pp, i, j, k)):
+            faces.append((i, j, k))
+    return faces
 
 
 def closed_form_n3(v: CorrelationVector) -> bool:
@@ -317,23 +342,37 @@ def decompose(v: CorrelationVector, relevance_index: int,
     """Leave-apart decomposition: if the full vector is infeasible, leave out
     k-subsets of non-relevance events (smallest k first, lexicographic order)
     until the remainder is feasible, then recurse on the left-apart events.
-    The relevance event is only left out once it is the sole survivor."""
+    The relevance event is only left out once it is the sole survivor.
+    Subsets that hold a face from ``violated_faces`` skip the LP."""
     if not (1 <= relevance_index <= v.n):
         raise ValueError(f"relevance index {relevance_index} outside 1..{v.n}")
+    if v.n > max_n:
+        raise CapExceededError(f"n={v.n} exceeds cap {max_n}")
     subsets: list[tuple[tuple[int, ...], PolytopeCertificate]] = []
     dropped: list[tuple[int, ...]] = []
+    faces = [sum(1 << i for i in face) for face in violated_faces(v)]
+
+    def feasible(events: tuple[int, ...]) -> Optional[PolytopeCertificate]:
+        # a subset holding a violated face is infeasible without an LP; the
+        # infeasible certificates are never reported, so the output is the
+        # same as if every subset were solved
+        mask = sum(1 << i for i in events)
+        if any(face & mask == face for face in faces):
+            return None
+        cert = _feasibility(v, events, max_n)
+        return cert if cert.feasible else None
 
     def split(events: tuple[int, ...]) -> None:
-        cert = _feasibility(v, events, max_n)
-        if cert.feasible:
+        cert = feasible(events)
+        if cert is not None:
             subsets.append((events, cert))
             return
         candidates = tuple(i for i in events if i != relevance_index)
         for k in range(1, len(candidates) + 1):
             for combo in combinations(candidates, k):
                 remaining = tuple(i for i in events if i not in combo)
-                rem_cert = _feasibility(v, remaining, max_n)
-                if rem_cert.feasible:
+                rem_cert = feasible(remaining)
+                if rem_cert is not None:
                     subsets.append((remaining, rem_cert))
                     dropped.append(combo)
                     split(combo)

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from evspace import cli, pitowsky
+from evspace import cli, estimation, pitowsky
 from evspace.cli import Report, main
 
 
@@ -104,8 +104,10 @@ class TestVector:
         code, _, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
                          "decompose")
         assert code == 0
-        # the full set and {2, 3} need an LP; the singleton {1} does not
-        assert calls == {"parse": 1, "lp": 2}
+        # only {2, 3} needs an LP: the full set breaks the triangle row
+        # p1 + p2 + p3 - p1,2 - p1,3 - p2,3 <= 1 (3/2 - 3/8 > 1), and the
+        # singleton {1} is feasible by construction
+        assert calls == {"parse": 1, "lp": 1}
 
     def test_relevance_zero_exits_2(self, capsys):
         code, out, err = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
@@ -160,6 +162,17 @@ class TestVector:
         code, _, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
                          "membership")
         assert code == 3
+
+    def test_decompose_cap_exits_3_when_the_screen_rules_out_the_full_set(
+            self, tmp_path, capsys):
+        # p1,2 = 3/4 > p1 breaks a pair row, so no LP runs on the full set
+        vec = tmp_path / "v.vec"
+        vec.write_text("n=13\n" + "".join(f"p{i}=1/2\n" for i in range(1, 14))
+                       + "p1,2=3/4\n")
+        code, out, err = run(capsys, "vector", str(vec), "decompose")
+        assert code == 3
+        assert out == ""
+        assert err == "error: n=13 exceeds cap 12\n"
 
 
 class TestEstimateMixSmooth:
@@ -218,6 +231,21 @@ class TestRealizeSurvey:
         assert any("verdict=YYY" in v for v in fields.values())
         assert any("verdict=NYY" in v for v in fields.values())
 
+    def test_survey_row_bound_exits_3(self, capsys, monkeypatch):
+        _, out, _ = run(capsys, "survey", fixture_path("toy_docs.txt"),
+                        fixture_path("toy_qrels.txt"))
+        rows = int(report_dict(out)["rows"])
+        monkeypatch.setattr(estimation, "MAX_SURVEY_ROWS", rows)
+        code, bounded, _ = run(capsys, "survey", fixture_path("toy_docs.txt"),
+                               fixture_path("toy_qrels.txt"))
+        assert (code, bounded) == (0, out)
+        monkeypatch.setattr(estimation, "MAX_SURVEY_ROWS", rows - 1)
+        code, out, err = run(capsys, "survey", fixture_path("toy_docs.txt"),
+                             fixture_path("toy_qrels.txt"))
+        assert code == 3
+        assert out == ""
+        assert err == f"error: survey of {rows} rows exceeds cap {rows - 1}\n"
+
     def test_survey_qrels_line_is_one_pair(self, tmp_path, capsys):
         qrels = tmp_path / "qrels.txt"
         qrels.write_text("q1 d1 d2\n")
@@ -235,6 +263,20 @@ class TestReproduce:
         fields = report_dict(out)
         assert fields["result"] == "ok"
         assert all(v == "PASS" for k, v in fields.items() if k != "result")
+
+
+class TestParser:
+    def test_usage_error_leaves_the_parser_as_fresh(self, capsys):
+        argv = ["vector", fixture_path("vec_n3_gap.vec"), "decompose"]
+        cli._build_parser.cache_clear()
+        fresh = run(capsys, *argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["--float", "vector", fixture_path("vec_n3_gap.vec"), "bogus"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        # a flag given to one call does not carry over to the next
+        assert run(capsys, "--float", *argv) != fresh
+        assert run(capsys, *argv) == fresh
 
 
 class TestReport:

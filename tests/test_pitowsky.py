@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from evspace.admissibility import check_classical
 from evspace.core import CondTriple, CorrelationVector
-from evspace.pitowsky import (CapExceededError, Witness, _verify_witness,
+from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
+                              _feasibility, _restrict, _verify_witness,
                               build_ranking_vector, closed_form_n2, closed_form_n3,
-                              decompose, membership, vertex_vector)
+                              decompose, membership, vertex_vector,
+                              violated_faces)
 
 from conftest import rand_prob
 
@@ -281,3 +284,90 @@ class TestDecompose:
             assert len(dec.subsets) >= 2
             assert dec.covered() == set(range(1, n + 1))
             assert all(cert.feasible for _, cert in dec.subsets)
+
+
+@st.composite
+def partial_vectors(draw, max_n=5):
+    """Vectors over eighths with about a quarter of the entries absent."""
+    n = draw(st.integers(2, max_n))
+    value = st.builds(F, st.integers(0, 8), st.just(8))
+    present = st.integers(0, 3).map(bool)
+    unary = {i: draw(value) for i in range(1, n + 1) if draw(present)}
+    pairwise = {(i, j): draw(value) for i in range(1, n)
+                for j in range(i + 1, n + 1) if draw(present)}
+    return CorrelationVector(n, unary, pairwise)
+
+
+class TestViolatedFaces:
+    @settings(max_examples=300, deadline=None)
+    @given(partial_vectors())
+    def test_every_face_is_infeasible_on_its_own(self, v):
+        for face in violated_faces(v):
+            assert len(face) in (2, 3) and list(face) == sorted(set(face))
+            assert not membership(_restrict(v, face)).feasible, face
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(F, st.integers(0, 8), st.just(8)),
+                    min_size=6, max_size=6))
+    def test_pair_and_triangle_rows_decide_three_events(self, values):
+        # COR(3) is cut out by its 12 trivial and 4 triangle facets
+        v = complete_vector(3, values[:3], values[3:])
+        assert bool(violated_faces(v)) == (not membership(v).feasible)
+
+    def test_absent_entries_are_not_screened(self):
+        # p1,2 > p1 would break a pair row, but p2 is absent
+        v = CorrelationVector(3, {1: F(1, 4), 3: F(1, 2)}, {(1, 2): F(1, 2)})
+        assert violated_faces(v) == []
+        v = CorrelationVector(2, {1: F(1, 4), 2: F(1, 2)}, {(1, 2): F(1, 2)})
+        assert violated_faces(v) == [(1, 2)]
+
+
+def reference_decompose(v, relevance_index, max_n=12):
+    """decompose as it was before the facet screen: every subset tried is
+    decided by _feasibility."""
+    subsets, dropped = [], []
+
+    def split(events):
+        cert = _feasibility(v, events, max_n)
+        if cert.feasible:
+            subsets.append((events, cert))
+            return
+        candidates = tuple(i for i in events if i != relevance_index)
+        for k in range(1, len(candidates) + 1):
+            for combo in combinations(candidates, k):
+                remaining = tuple(i for i in events if i not in combo)
+                rem_cert = _feasibility(v, remaining, max_n)
+                if rem_cert.feasible:
+                    subsets.append((remaining, rem_cert))
+                    dropped.append(combo)
+                    split(combo)
+                    return
+        raise RuntimeError("decomposition failed to terminate on singletons")
+
+    split(tuple(range(1, v.n + 1)))
+    return RankingDecomposition(tuple(subsets), tuple(dropped))
+
+
+def test_screened_decompose_equals_the_unscreened_one(rng):
+    # no violated face, yet infeasible: p1+p2+p3+p4 - (sum of p_ij) = 27/25 > 1,
+    # so the LP still decides the full set; event 5 is independent of the rest
+    four = complete_vector(4, [F(9, 20)] * 4, [F(3, 25)] * 6)
+    five = CorrelationVector(5, {**four.unary, 5: F(1, 2)},
+                             {**four.pairwise, **{(i, 5): F(9, 40) for i in range(1, 5)}})
+    vectors = [four, five]
+    while len(vectors) < 42:
+        m = rng.randint(1, 5)
+        v = build_ranking_vector([rand_prob(rng) for _ in range(m)],
+                                 [rand_prob(rng) for _ in range(m)], rand_prob(rng))
+        if not membership(v).feasible:
+            vectors.append(v)
+    while len(vectors) < 72:
+        n = rng.randint(2, 6)
+        v = complete_vector(n, [rand_prob(rng) for _ in range(n)],
+                            [rand_prob(rng) for _ in range(n * (n - 1) // 2)])
+        if not membership(v).feasible:
+            vectors.append(v)
+    assert violated_faces(four) == violated_faces(five) == []
+    assert not membership(four).feasible and not membership(five).feasible
+    for v in vectors:
+        assert decompose(v, v.n) == reference_decompose(v, v.n), v
