@@ -1,16 +1,25 @@
 """Exact fraction-free phase-1 simplex for equality-form feasibility.
 
-Solves A x = b, x >= 0 over the rationals.  Bland's rule throughout, so the
-method terminates without cycling.  When the system is infeasible the dual
-of the phase-1 optimum is returned as a Farkas witness y with
+Solves A x = b, x >= 0 over the rationals.  When the system is infeasible
+the dual of the phase-1 optimum is returned as a Farkas witness y with
 y . A <= 0 (componentwise over columns) and y . b > 0.
+
+The entering column has the most negative reduced cost among the columns
+whose step is non-degenerate, else the most negative overall.  The leaving
+row is the lexicographically least (rhs, artificial columns) / entry.  The
+artificial columns hold B^-1, and the initial rows (b_i, e_i) are
+lexicographically positive, so no basis repeats whichever column enters
+(Dantzig, Orden & Wolfe, The generalized simplex method, Pacific J. Math.
+5, 1955).
 
 The tableau holds Python ints over one positive common denominator d: the
 true tableau is always T / d.  A's columns are scaled by one lcm of their
-denominators and b by another.  A positive column scaling changes no sign
-and no ratio order, so Bland's rule takes the same pivots as on the
-rational tableau.  Each pivot is Edmonds' integer-preserving update, in
-which every division by d is exact (J. Edmonds, J. Res. NBS 71B, 1967).
+denominators and b by another.  One positive factor per block changes no
+sign, no ratio order and no order among the structural costs; the
+artificial costs are scaled by the same factor before they are compared.
+So the rule takes the same pivots as on the rational tableau.  Each pivot
+is Edmonds' integer-preserving update, in which every division by d is
+exact (J. Edmonds, J. Res. NBS 71B, 1967).
 """
 
 from __future__ import annotations
@@ -56,24 +65,20 @@ def solve_feasibility(
     reduced = [-sum(col) for col in zip(*tableau)]
     reduced[n:width] = [0] * m
     d = 1
+    # the ratio test compares rows on (rhs, artificial columns) / entry;
+    # d cancels
+    lex = [width, *range(n, width)]
 
     while True:
-        enter = next((j for j in range(width) if reduced[j] < 0), None)
+        enter = _entering(tableau, reduced, n, scale_a)
         if enter is None:
             break
-        # ratio rhs_i / coeff_i, compared by cross-multiplication over the
-        # positive coefficients; d cancels
         leave = None
         for i in range(m):
             coeff = tableau[i][enter]
-            if coeff > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                lhs = tableau[i][width] * tableau[leave][enter]
-                best = tableau[leave][width] * coeff
-                if lhs < best or (lhs == best and basis[i] < basis[leave]):
-                    leave = i
+            if coeff > 0 and (leave is None or _lex_less(
+                    tableau[i], coeff, tableau[leave], tableau[leave][enter], lex)):
+                leave = i
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; inconsistent state")
         _pivot(tableau, reduced, basis, leave, enter, d)
@@ -90,6 +95,38 @@ def solve_feasibility(
         if basis[i] < n:
             x[basis[i]] = Fraction(tableau[i][width] * scale_a, d * scale_b)
     return x, None
+
+
+def _entering(tableau: list[list[int]], reduced: list[int], n: int,
+              scale_a: int) -> Optional[int]:
+    """The column with the most negative reduced cost among those whose step
+    is non-degenerate (no positive entry in a row whose rhs is 0), else the
+    most negative overall; ties go to the lowest index.  The structural
+    columns were scaled by scale_a and the artificial ones were not, so the
+    artificial costs are scaled to match before they are compared."""
+    width = len(reduced) - 1
+    costs = sorted((r * scale_a if j >= n else r, j)
+                   for j, r in enumerate(reduced[:width]) if r < 0)
+    if not costs:
+        return None
+    zero_rows = [row for row in tableau if not row[width]]
+    for _, j in costs:
+        if all(row[j] <= 0 for row in zero_rows):
+            return j
+    return costs[0][1]
+
+
+def _lex_less(row: list[int], coeff: int, best: list[int], best_coeff: int,
+              keys: list[int]) -> bool:
+    """Whether row / coeff precedes best / best_coeff lexicographically on
+    the columns keys, by cross-multiplication over positive coefficients."""
+    for k in keys:
+        a, b = row[k] * best_coeff, best[k] * coeff
+        if a < b:
+            return True
+        if a > b:
+            return False
+    return False
 
 
 def _pivot(tableau: list[list[int]], reduced: list[int], basis: list[int],

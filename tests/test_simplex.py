@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from evspace import simplex
+from evspace.core import CorrelationVector
+from evspace.pitowsky import membership
 from evspace.simplex import solve_feasibility
 
 ZERO = Fraction(0)
@@ -11,8 +13,10 @@ ONE = Fraction(1)
 
 
 # Reference: the rational-tableau solver that the fraction-free one replaced,
-# kept as it was except that it also returns its pivot count.  The integer
-# tableau must take the same Bland pivots and so return the same x and y.
+# with the same pivot rule and a pivot count.  Entering: the most negative
+# reduced cost whose step is non-degenerate, else the most negative, lowest
+# index on ties.  Leaving: the least row of (rhs, artificial columns) / entry.
+# The integer tableau must take the same pivots and so return the same x and y.
 def reference_solve(rows, rhs):
     m = len(rows)
     if m == 0:
@@ -40,19 +44,15 @@ def reference_solve(rows, rhs):
     pivots = 0
 
     while True:
-        enter = next((j for j in range(width) if reduced[j] < 0), None)
-        if enter is None:
+        negative = [j for j in range(width) if reduced[j] < 0]
+        if not negative:
             break
-        leave = None
-        best = None
-        for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if best is None or ratio < best or (
-                        ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+        free = [j for j in negative
+                if all(row[j] <= 0 for row in tableau if row[width] == 0)]
+        enter = min(free or negative, key=lambda j: (reduced[j], j))
+        rows_in = [i for i in range(m) if tableau[i][enter] > 0]
+        leave = min(rows_in, default=None, key=lambda i: [
+            tableau[i][k] / tableau[i][enter] for k in [width, *range(n, width)]])
         if leave is None:
             raise RuntimeError("phase-1 objective unbounded; inconsistent state")
         _reference_pivot(tableau, reduced, basis, leave, enter, width)
@@ -137,6 +137,65 @@ def test_same_certificates_and_pivots_as_the_rational_tableau(monkeypatch):
             assert _dot(y, rhs) > 0
         outcomes.add((x is not None, pivots > 1))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _degenerate_lp(rng):
+    """Entries in {-1, 0, 1} and mostly zero rhs: many degenerate pivots."""
+    m, n = rng.randint(2, 6), rng.randint(2, 9)
+    rows = [[rng.choice((-1, 0, 1)) for _ in range(n)] for _ in range(m)]
+    rhs = [rng.choice((0, 0, 0, 1, -1)) for _ in range(m)]
+    return rows, rhs
+
+
+def _mixture(rng, n=4):
+    """A complete vector that is a random convex combination of 2n vertices."""
+    weights = [rng.randint(1, 5) for _ in range(2 * n)]
+    total = sum(weights)
+    vertices = [[rng.randint(0, 1) for _ in range(n)] for _ in weights]
+    mean = lambda bit: sum(w * bit(v) for w, v in zip(weights, vertices)) / Fraction(total)
+    unary = {i + 1: mean(lambda v: v[i]) for i in range(n)}
+    pairwise = {(i + 1, j + 1): mean(lambda v: v[i] * v[j])
+                for i in range(n) for j in range(i + 1, n)}
+    return CorrelationVector(n, unary, pairwise)
+
+
+def test_no_basis_repeats_and_every_branch_of_the_rule_is_taken(monkeypatch):
+    """The lexicographic ratio test cannot cycle whatever column enters
+    (Dantzig, Orden & Wolfe, 1955): no basis repeats within a solve."""
+    seen = []
+    taken = {"rhs tie": 0, "non-degenerate": 0, "fallback": 0}
+    pivot = simplex._pivot
+
+    def recording(tableau, reduced, basis, leave, enter, d):
+        width = len(reduced) - 1
+        keys = [width, *range(width - len(tableau), width)]
+        rows = [row for row in tableau if row[enter] > 0]
+        ratios = [Fraction(row[width], row[enter]) for row in rows]
+        taken["rhs tie"] += ratios.count(min(ratios)) > 1
+        assert min(rows, key=lambda row: [Fraction(row[k], row[enter]) for k in keys]) \
+            is tableau[leave]
+        degenerate = any(row[enter] > 0 for row in tableau if row[width] == 0)
+        taken["fallback" if degenerate else "non-degenerate"] += 1
+        if not seen:
+            seen.append(frozenset(basis))
+        pivot(tableau, reduced, basis, leave, enter, d)
+        assert frozenset(basis) not in seen, seen
+        seen.append(frozenset(basis))
+
+    monkeypatch.setattr(simplex, "_pivot", recording)
+    rng = random.Random(1955)
+    for trial in range(400):
+        rows, rhs = _degenerate_lp(rng)
+        seen.clear()
+        x, y = solve_feasibility(rows, rhs)
+        if x is not None:
+            assert [_dot(row, x) for row in rows] == rhs, trial
+        else:
+            assert all(_dot(y, col) <= 0 for col in zip(*rows)) and _dot(y, rhs) > 0
+    for trial in range(30):
+        seen.clear()
+        assert membership(_mixture(rng)).feasible, trial
+    assert all(taken.values()), taken
 
 
 def test_no_rows():
