@@ -132,8 +132,8 @@ def cmd_vector(args) -> tuple[int, Report]:
 
 def _certificate_fields(report: Report, prefix: str, cert) -> None:
     if cert.feasible:
-        for bits, w in sorted(cert.weights.items()):
-            report.add(f"{prefix}weight.{bits}", w)
+        for k, w in sorted(cert.weights.items()):
+            report.add(f"{prefix}weight.{k:0{cert.n}b}", w)
     else:
         report.add(f"{prefix}witness", cert.witness.render())
 
@@ -315,7 +315,7 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
         v = pitowsky.vertex_vector("01")
         assert (v.unary(1), v.unary(2), v.pairwise(1, 2)) == (0, 1, 0)
         cert = pitowsky.membership(v.as_correlation_vector())
-        assert cert.feasible and cert.weights == {"01": F(1)}
+        assert cert.feasible and cert.weights == {0b01: F(1)}
 
     def n2_infeasible():
         v = parse_correlation_vector(_fixture("vec_n2_infeasible.vec"))

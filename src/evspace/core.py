@@ -122,14 +122,11 @@ class CorrelationVector:
     def is_complete(self) -> bool:
         return len(self.unary) == self.n and len(self.pairwise) == self.n * (self.n - 1) // 2
 
-    def entries(self) -> list[tuple[tuple, Fraction]]:
-        """Present entries in canonical order: unary by index, then pairs."""
-        out: list[tuple[tuple, Fraction]] = []
-        for i in sorted(self.unary):
-            out.append((("u", i), self.unary[i]))
-        for key in sorted(self.pairwise):
-            out.append((("p",) + key, self.pairwise[key]))
-        return out
+    def entries(self) -> list[tuple[tuple[int, ...], Fraction]]:
+        """Present entries in canonical order, each keyed by its events:
+        (i,) for the unary entries by index, then the pairs (i, j)."""
+        return [((i,), self.unary[i]) for i in sorted(self.unary)] + sorted(
+            self.pairwise.items())
 
 
 # ---------------------------------------------------------------------------

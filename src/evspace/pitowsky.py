@@ -97,14 +97,6 @@ class Witness:
             total += c * v.pairwise[key]
         return total
 
-    def evaluate_bits(self, bits: str) -> int:
-        total = self.const
-        for i, c in self.unary.items():
-            total += c * int(bits[i - 1])
-        for (i, j), c in self.pairwise.items():
-            total += c * int(bits[i - 1]) * int(bits[j - 1])
-        return total
-
     def render(self) -> str:
         parts = []
         for i in sorted(self.unary):
@@ -117,8 +109,12 @@ class Witness:
 
 @dataclass(frozen=True)
 class PolytopeCertificate:
+    """``weights`` maps each vertex of n events, as the mask whose bit n - i
+    is event i, to its weight."""
+
     feasible: bool
-    weights: Optional[Mapping[str, Fraction]] = None
+    n: int
+    weights: Optional[Mapping[int, Fraction]] = None
     witness: Optional[Witness] = None
 
 
@@ -134,27 +130,34 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
     entries = v.entries()
     if not entries:
         raise ValueError("empty correlation vector")
-    # column k is the vertex whose bit i is (k >> (n - i)) & 1; an entry's
-    # cell is 1 iff every bit of the entry's events is set
+    # column k is the vertex with mask k; its cell in a row is 1 iff it
+    # holds every event of the row
+    rows = _rows(v.n, entries)
     size = 1 << v.n
-    rows = []
-    rhs = []
-    for key, value in entries:
-        mask = sum(1 << (v.n - i) for i in key[1:])
-        rows.append([1 if k & mask == mask else 0 for k in range(size)])
-        rhs.append(value)
-    rows.append([1] * size)
-    rhs.append(ONE)
-
-    x, y = solve_feasibility(rows, rhs)
+    x, y = solve_feasibility(
+        [[1 if k & mask == mask else 0 for k in range(size)] for _, mask, _ in rows],
+        [value for _, _, value in rows])
     if x is not None:
-        weights = {format(k, f"0{v.n}b"): x[k] for k in range(size) if x[k] != 0}
-        cert = PolytopeCertificate(feasible=True, weights=weights)
-        _verify_weights(v, cert.weights)
-        return cert
+        weights = {k: w for k, w in enumerate(x) if w}
+        _verify_weights(rows, weights)
+        return PolytopeCertificate(feasible=True, n=v.n, weights=weights)
     witness = _normalize_witness(entries, y)
     _verify_witness(v, witness)
-    return PolytopeCertificate(feasible=False, witness=witness)
+    return PolytopeCertificate(feasible=False, n=v.n, witness=witness)
+
+
+def _mask(n: int, events: Sequence[int]) -> int:
+    """The vertex mask of n events that holds exactly the given events: event
+    i is bit n - i, so the mask is also the vertex's LP column."""
+    return sum(1 << (n - i) for i in events)
+
+
+def _rows(n: int, entries) -> list[tuple[tuple[int, ...], int, Fraction]]:
+    """(events, mask, value) for each entry, then the sum row ((), 0, 1): a
+    vertex k counts towards a row iff k & mask == mask."""
+    rows = [(events, _mask(n, events), value) for events, value in entries]
+    rows.append(((), 0, ONE))
+    return rows
 
 
 def _normalize_witness(entries, y: Sequence[Fraction]) -> Witness:
@@ -169,27 +172,25 @@ def _normalize_witness(entries, y: Sequence[Fraction]) -> Witness:
         ints = [c // g for c in ints]
     unary = {}
     pairwise = {}
-    for (key, _), c in zip(entries, ints):
-        if key[0] == "u":
-            unary[key[1]] = c
+    for (events, _), c in zip(entries, ints):
+        if len(events) == 1:
+            unary[events[0]] = c
         else:
-            pairwise[(key[1], key[2])] = c
+            pairwise[events] = c
     return Witness(unary=unary, pairwise=pairwise, const=ints[-1])
 
 
-def _verify_weights(v: CorrelationVector, weights: Mapping[str, Fraction]) -> None:
+def _verify_weights(rows, weights: Mapping[int, Fraction]) -> None:
+    """Re-substitute the weights into the rows from ``_rows``: the sign of
+    each weight first, then the sum row, then the entries."""
     if any(w < 0 for w in weights.values()):
         raise RuntimeError("certificate has negative weight")
-    if sum(weights.values()) != 1:
-        raise RuntimeError("certificate weights do not sum to 1")
-    for i, value in v.unary.items():
-        if sum(w for bits, w in weights.items() if bits[i - 1] == "1") != value:
-            raise RuntimeError(f"certificate fails to reproduce p{i}")
-    for (i, j), value in v.pairwise.items():
-        got = sum(w for bits, w in weights.items()
-                  if bits[i - 1] == "1" and bits[j - 1] == "1")
-        if got != value:
-            raise RuntimeError(f"certificate fails to reproduce p{i},{j}")
+    for events, mask, value in (rows[-1], *rows[:-1]):
+        if sum(w for k, w in weights.items() if k & mask == mask) != value:
+            if not events:
+                raise RuntimeError("certificate weights do not sum to 1")
+            raise RuntimeError(
+                f"certificate fails to reproduce p{','.join(map(str, events))}")
 
 
 def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
@@ -305,7 +306,6 @@ class RankingDecomposition:
     """Partition of the events into subsets that each admit a single space."""
 
     subsets: tuple[tuple[tuple[int, ...], PolytopeCertificate], ...]
-    dropped_order: tuple[tuple[int, ...], ...]
 
     def covered(self) -> set[int]:
         out: set[int] = set()
@@ -329,11 +329,11 @@ def _feasibility(v: CorrelationVector, events: tuple[int, ...],
                  max_n: int) -> PolytopeCertificate:
     if len(events) == 1:
         # singleton: weight p on "present", 1-p on "absent"; always feasible,
-        # keyed over two bits as the n >= 2 vector it is checked against
+        # keyed over two events, the fewest a vector has
         p = v.unary.get(events[0], ZERO)
-        weights = {bits: w for bits, w in (("00", 1 - p), ("10", p)) if w != 0}
-        _verify_weights(CorrelationVector(2, {1: p}), weights)
-        return PolytopeCertificate(feasible=True, weights=weights)
+        weights = {k: w for k, w in ((0b00, 1 - p), (0b10, p)) if w}
+        _verify_weights(_rows(2, [((1,), p)]), weights)
+        return PolytopeCertificate(feasible=True, n=2, weights=weights)
     return membership(_restrict(v, events), max_n)
 
 
@@ -349,14 +349,13 @@ def decompose(v: CorrelationVector, relevance_index: int,
     if v.n > max_n:
         raise CapExceededError(f"n={v.n} exceeds cap {max_n}")
     subsets: list[tuple[tuple[int, ...], PolytopeCertificate]] = []
-    dropped: list[tuple[int, ...]] = []
-    faces = [sum(1 << i for i in face) for face in violated_faces(v)]
+    faces = [_mask(v.n, face) for face in violated_faces(v)]
 
     def feasible(events: tuple[int, ...]) -> Optional[PolytopeCertificate]:
         # a subset holding a violated face is infeasible without an LP; the
         # infeasible certificates are never reported, so the output is the
         # same as if every subset were solved
-        mask = sum(1 << i for i in events)
+        mask = _mask(v.n, events)
         if any(face & mask == face for face in faces):
             return None
         cert = _feasibility(v, events, max_n)
@@ -374,10 +373,9 @@ def decompose(v: CorrelationVector, relevance_index: int,
                 rem_cert = feasible(remaining)
                 if rem_cert is not None:
                     subsets.append((remaining, rem_cert))
-                    dropped.append(combo)
                     split(combo)
                     return
         raise RuntimeError("decomposition failed to terminate on singletons")
 
     split(tuple(range(1, v.n + 1)))
-    return RankingDecomposition(tuple(subsets), tuple(dropped))
+    return RankingDecomposition(tuple(subsets))

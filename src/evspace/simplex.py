@@ -12,14 +12,12 @@ lexicographically positive, so no basis repeats whichever column enters
 (Dantzig, Orden & Wolfe, The generalized simplex method, Pacific J. Math.
 5, 1955).
 
-The tableau holds Python ints over one positive common denominator d: the
-true tableau is always T / d.  A's columns are scaled by one lcm of their
-denominators and b by another.  One positive factor per block changes no
-sign, no ratio order and no order among the structural costs; the
-artificial costs are scaled by the same factor before they are compared.
-So the rule takes the same pivots as on the rational tableau.  Each pivot
-is Edmonds' integer-preserving update, in which every division by d is
-exact (J. Edmonds, J. Res. NBS 71B, 1967).
+A is integral.  The tableau holds Python ints over one positive common
+denominator d: the true tableau is always T / d.  b is scaled by the lcm of
+its denominators; one positive factor on the rhs changes no sign and no
+ratio order, so the rule takes the same pivots as on the rational tableau.
+Each pivot is Edmonds' integer-preserving update, in which every division
+by d is exact (J. Edmonds, J. Res. NBS 71B, 1967).
 """
 
 from __future__ import annotations
@@ -33,31 +31,30 @@ ZERO = Fraction(0)
 
 
 def solve_feasibility(
-    rows: Sequence[Sequence[Rational]],
+    rows: Sequence[Sequence[int]],
     rhs: Sequence[Rational],
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
     """Return (x, None) with A x = b, x >= 0, or (None, y) with the Farkas
-    certificate y.A <= 0, y.b > 0 when no such x exists.  Entries are ints
-    or Fractions."""
+    certificate y.A <= 0, y.b > 0 when no such x exists.  A's entries are
+    ints; b's are ints or Fractions."""
     m = len(rows)
     if m == 0:
         return [], None
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("ragged constraint matrix")
-    scale_a = math.lcm(*{v.denominator for row in rows for v in row})
     scale_b = math.lcm(*{v.denominator for v in rhs})
     signs = [1] * m
     tableau: list[list[int]] = []
     for i in range(m):
-        row = [v.numerator * (scale_a // v.denominator) for v in rows[i]]
+        row = rows[i]
         b = rhs[i].numerator * (scale_b // rhs[i].denominator)
         if b < 0:
             row = [-v for v in row]
             b = -b
             signs[i] = -1
         art = [1 if k == i else 0 for k in range(m)]
-        tableau.append(row + art + [b])
+        tableau.append([*row, *art, b])
     basis = list(range(n, n + m))
     # reduced costs for min(sum of artificials) with the artificial basis:
     # r_j = c_j - y.A_j where y = (1, ..., 1)
@@ -70,7 +67,7 @@ def solve_feasibility(
     lex = [width, *range(n, width)]
 
     while True:
-        enter = _entering(tableau, reduced, n, scale_a)
+        enter = _entering(tableau, reduced)
         if enter is None:
             break
         leave = None
@@ -89,24 +86,20 @@ def solve_feasibility(
         # dual from the artificial columns: r_{art i} = 1 - y_i
         y = [Fraction(d - reduced[n + i], d) * signs[i] for i in range(m)]
         return None, y
-    # the scaled system's solution is x * scale_b / scale_a
+    # the scaled system's solution is x * scale_b
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tableau[i][width] * scale_a, d * scale_b)
+            x[basis[i]] = Fraction(tableau[i][width], d * scale_b)
     return x, None
 
 
-def _entering(tableau: list[list[int]], reduced: list[int], n: int,
-              scale_a: int) -> Optional[int]:
+def _entering(tableau: list[list[int]], reduced: list[int]) -> Optional[int]:
     """The column with the most negative reduced cost among those whose step
     is non-degenerate (no positive entry in a row whose rhs is 0), else the
-    most negative overall; ties go to the lowest index.  The structural
-    columns were scaled by scale_a and the artificial ones were not, so the
-    artificial costs are scaled to match before they are compared."""
+    most negative overall; ties go to the lowest index."""
     width = len(reduced) - 1
-    costs = sorted((r * scale_a if j >= n else r, j)
-                   for j, r in enumerate(reduced[:width]) if r < 0)
+    costs = sorted((r, j) for j, r in enumerate(reduced[:width]) if r < 0)
     if not costs:
         return None
     zero_rows = [row for row in tableau if not row[width]]

@@ -13,7 +13,8 @@ from evspace.cli import main
 from evspace.core import CondTriple, CorrelationVector, Ternary
 from evspace.estimation import (MissingStrategy, ZeroConditioningError,
                                 broker_mix, estimate_triple, smooth_triple)
-from evspace.pitowsky import closed_form_n2, closed_form_n3, decompose, membership
+from evspace.pitowsky import (closed_form_n2, closed_form_n3, decompose, membership,
+                              vertex_vector)
 from evspace.quantum import Field, amplitude_prob, realize
 
 from test_estimation import fixture, random_equal_marginal_table
@@ -151,17 +152,19 @@ def test_criterion_6_oracle_equivalence():
 def _check_certificate(v, cert):
     # criterion 8: re-substitution / strict separation, checked independently
     if cert.feasible:
-        assert all(w >= 0 for w in cert.weights.values())
-        assert sum(cert.weights.values()) == 1
+        weights = {format(k, f"0{cert.n}b"): w for k, w in cert.weights.items()}
+        assert all(w >= 0 for w in weights.values())
+        assert sum(weights.values()) == 1
         for i, value in v.unary.items():
-            assert sum(w for b, w in cert.weights.items() if b[i - 1] == "1") == value
+            assert sum(w for b, w in weights.items() if b[i - 1] == "1") == value
         for (i, j), value in v.pairwise.items():
-            assert sum(w for b, w in cert.weights.items()
+            assert sum(w for b, w in weights.items()
                        if b[i - 1] == "1" and b[j - 1] == "1") == value
     else:
         assert cert.witness.evaluate(v) > 0
         for k in range(2 ** v.n):
-            assert cert.witness.evaluate_bits(format(k, f"0{v.n}b")) <= 0
+            vertex = vertex_vector(format(k, f"0{v.n}b")).as_correlation_vector()
+            assert cert.witness.evaluate(vertex) <= 0
 
 
 @criterion(7, "necessity gap at n=3 with verifiable witness")

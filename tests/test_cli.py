@@ -145,6 +145,9 @@ class TestVector:
 
     @pytest.mark.parametrize("x, y, message", [
         ([Fraction(1), 0, 0, 0], None, "certificate fails to reproduce p1"),
+        ([0, 0, 0, 0], None, "certificate weights do not sum to 1"),
+        ([Fraction(3, 2), Fraction(-1, 2), 0, 0], None,
+         "certificate has negative weight"),
         (None, [0, 0, 0, Fraction(1)], "witness fails on a polytope vertex"),
     ])
     def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch,
@@ -156,6 +159,13 @@ class TestVector:
         assert code == 4
         assert out == ""
         assert err == f"error: internal: {message}\n"
+
+    def test_vertex_weight_key_at_n3(self, tmp_path, capsys):
+        # vertex 011: event i is the i-th printed bit
+        vec = tmp_path / "v.vec"
+        vec.write_text("n=3\np1=0\np2=1\np3=1\np1,2=0\np1,3=0\np2,3=1\n")
+        code, out, err = run(capsys, "vector", str(vec), "membership")
+        assert (code, out, err) == (0, "n: 3\nfeasible: yes\nweight.011: 1\n", "")
 
     def test_cap_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("EVSPACE_MAX_N", "1")

@@ -76,7 +76,8 @@ class TestMembership:
     @given(st.text(alphabet="01", min_size=2, max_size=4))
     def test_vertices_feasible_with_singleton_weight(self, bits):
         cert = membership(vertex_vector(bits).as_correlation_vector())
-        assert cert.feasible and cert.weights == {bits: F(1)}
+        # the mask sets bit n - i for event i, as int() reads the bits
+        assert cert.feasible and cert.weights == {int(bits, 2): F(1)}
 
     def test_partial_vector_existential(self):
         # only one pairwise entry observed; the missing ones are free
@@ -119,7 +120,8 @@ def _verify_all_vertices(v, witness):
     if witness.evaluate(v) <= 0:
         raise RuntimeError("witness does not separate the input")
     for k in range(1 << v.n):
-        if witness.evaluate_bits(format(k, f"0{v.n}b")) > 0:
+        vertex = vertex_vector(format(k, f"0{v.n}b")).as_correlation_vector()
+        if witness.evaluate(vertex) > 0:
             raise RuntimeError("witness fails on a polytope vertex")
 
 
@@ -325,7 +327,7 @@ class TestViolatedFaces:
 def reference_decompose(v, relevance_index, max_n=12):
     """decompose as it was before the facet screen: every subset tried is
     decided by _feasibility."""
-    subsets, dropped = [], []
+    subsets = []
 
     def split(events):
         cert = _feasibility(v, events, max_n)
@@ -339,13 +341,12 @@ def reference_decompose(v, relevance_index, max_n=12):
                 rem_cert = _feasibility(v, remaining, max_n)
                 if rem_cert.feasible:
                     subsets.append((remaining, rem_cert))
-                    dropped.append(combo)
                     split(combo)
                     return
         raise RuntimeError("decomposition failed to terminate on singletons")
 
     split(tuple(range(1, v.n + 1)))
-    return RankingDecomposition(tuple(subsets), tuple(dropped))
+    return RankingDecomposition(tuple(subsets))
 
 
 def test_screened_decompose_equals_the_unscreened_one(rng):

@@ -97,9 +97,14 @@ def _entry(rng):
     return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
 
 
+def _coefficient(rng):
+    """An entry of A, which is integral: zero or a small int."""
+    return 0 if rng.randrange(4) == 0 else rng.randint(-6, 6)
+
+
 def random_lp(rng):
     m, n = rng.randint(1, 5), rng.randint(1, 8)
-    rows = [[_entry(rng) for _ in range(n)] for _ in range(m)]
+    rows = [[_coefficient(rng) for _ in range(n)] for _ in range(m)]
     if rng.random() < 0.5:
         # feasible by construction: b = A x0 with x0 >= 0
         x0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
