@@ -145,10 +145,10 @@ class TestVector:
 
     @pytest.mark.parametrize("x, y, message", [
         ([Fraction(1), 0, 0, 0], None, "certificate fails to reproduce p1"),
+        (None, [0, 0, 0, Fraction(1)], "witness fails on a polytope vertex"),
         ([0, 0, 0, 0], None, "certificate weights do not sum to 1"),
         ([Fraction(3, 2), Fraction(-1, 2), 0, 0], None,
          "certificate has negative weight"),
-        (None, [0, 0, 0, Fraction(1)], "witness fails on a polytope vertex"),
     ])
     def test_failed_self_check_exits_4(self, tmp_path, capsys, monkeypatch,
                                        x, y, message):
