@@ -9,13 +9,13 @@ from .core import (AdmissibilityVerdict, CondTriple, CorrelationVector,
 from .admissibility import (InvariantReport, bayes_invert, check_classical,
                             check_complex_qs, check_real_qs, classify,
                             ltp_compose, statistical_invariant)
-from .estimation import (Corpus, MissingStrategy, MixtureSpec, broker_mix,
-                         cond_prob, estimate_triple, parse_corpus,
-                         smooth_triple, survey_corpus)
+from .estimation import (Corpus, MissingStrategy, broker_mix, cond_prob,
+                         estimate_triple, parse_corpus, smooth_triple,
+                         survey_corpus)
 from .pitowsky import (CapExceededError, PolytopeCertificate,
-                       RankingDecomposition, VertexVector, Witness,
-                       build_ranking_vector, closed_form_n2, closed_form_n3,
-                       decompose, membership, vertex_vector)
+                       RankingDecomposition, Witness, build_ranking_vector,
+                       closed_form_n2, closed_form_n3, decompose, membership,
+                       vertex_vector)
 from .quantum import (Field, NotRepresentableError, QuantumRealization,
                       StateVector, amplitude_prob, realize)
 

@@ -96,6 +96,17 @@ def _triple_fields(report: Report, t: CondTriple) -> None:
         report.add("marginal", t.marginal)
 
 
+def _classified(args, t: CondTriple, *head: tuple[str, object]) -> tuple[int, Report]:
+    """The report of a classified triple: the head fields, the triple, then
+    its verdict."""
+    report = Report(float_output=args.float)
+    for key, value in head:
+        report.add(key, value)
+    _triple_fields(report, t)
+    _verdict_fields(report, admissibility.classify(t))
+    return EXIT_OK, report
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -104,10 +115,7 @@ def cmd_check(args) -> tuple[int, Report]:
     marginal = parse_prob(args.marginal) if args.marginal else None
     t = CondTriple(parse_prob(args.p), parse_prob(args.q), parse_prob(args.r),
                    marginal=marginal)
-    report = Report(float_output=args.float)
-    _triple_fields(report, t)
-    _verdict_fields(report, admissibility.classify(t))
-    return EXIT_OK, report
+    return _classified(args, t)
 
 
 def cmd_vector(args) -> tuple[int, Report]:
@@ -146,13 +154,12 @@ def cmd_estimate(args) -> tuple[int, Report]:
     with open(args.table) as fh:
         table = parse_event_table(fh.read())
     t = estimation.estimate_triple(table, args.a, args.b, args.c, _strategy(args))
-    report = Report(float_output=args.float)
-    _triple_fields(report, t)
-    _verdict_fields(report, admissibility.classify(t))
-    return EXIT_OK, report
+    return _classified(args, t)
 
 
 def cmd_mix(args) -> tuple[int, Report]:
+    if len(args.tables) != 2:
+        raise FormatError("mix expects exactly two table files")
     alpha = parse_prob(args.alpha)
     triples = []
     for path in args.tables:
@@ -162,14 +169,8 @@ def cmd_mix(args) -> tuple[int, Report]:
         if len(names) < 3:
             raise FormatError(f"{path}: need three observables")
         triples.append(estimation.estimate_triple(table, *names, _strategy(args)))
-    if len(triples) != 2:
-        raise FormatError("mix expects exactly two table files")
     mixed = estimation.broker_mix(triples, [alpha, 1 - alpha])
-    report = Report(float_output=args.float)
-    report.add("alpha", alpha)
-    _triple_fields(report, mixed)
-    _verdict_fields(report, admissibility.classify(mixed))
-    return EXIT_OK, report
+    return _classified(args, mixed, ("alpha", alpha))
 
 
 def cmd_smooth(args) -> tuple[int, Report]:
@@ -177,13 +178,8 @@ def cmd_smooth(args) -> tuple[int, Report]:
     background = CondTriple(parse_prob(args.background_p),
                             parse_prob(args.background_q),
                             parse_prob(args.background_r))
-    coeffs = estimation.MixtureSpec(parse_prob(args.alpha), parse_prob(args.beta),
-                                    parse_prob(args.gamma))
-    smoothed = estimation.smooth_triple(base, background, coeffs)
-    report = Report(float_output=args.float)
-    _triple_fields(report, smoothed)
-    _verdict_fields(report, admissibility.classify(smoothed))
-    return EXIT_OK, report
+    coeffs = (parse_prob(args.alpha), parse_prob(args.beta), parse_prob(args.gamma))
+    return _classified(args, estimation.smooth_triple(base, background, coeffs))
 
 
 def cmd_realize(args) -> tuple[int, Report]:
@@ -312,9 +308,9 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
         assert verdict.classical and verdict.symmetry_checked
 
     def vertex_n2():
-        v = pitowsky.vertex_vector("01")
-        assert (v.unary(1), v.unary(2), v.pairwise(1, 2)) == (0, 1, 0)
-        cert = pitowsky.membership(v.as_correlation_vector())
+        v = pitowsky.vertex_vector(2, 0b01)
+        assert (v.unary[1], v.unary[2], v.pairwise[(1, 2)]) == (0, 1, 0)
+        cert = pitowsky.membership(v)
         assert cert.feasible and cert.weights == {0b01: F(1)}
 
     def n2_infeasible():

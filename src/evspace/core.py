@@ -285,6 +285,8 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
         key, _, value = ln.partition("=")
         key = key.strip().replace(" ", "")
         if key == "n":
+            if n is not None:
+                raise FormatError(f"duplicate key: {key!r}")
             try:
                 n = int(value.strip())
             except ValueError:
@@ -294,10 +296,12 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
         if not m:
             raise FormatError(f"bad key: {key!r}")
         if m.group(2) is None:
-            unary[int(m.group(1))] = parse_prob(value)
+            entries, index = unary, int(m.group(1))
         else:
-            i, j = int(m.group(1)), int(m.group(2))
-            pairwise[(i, j)] = parse_prob(value)
+            entries, index = pairwise, (int(m.group(1)), int(m.group(2)))
+        if index in entries:
+            raise FormatError(f"duplicate key: {key!r}")
+        entries[index] = parse_prob(value)
     if n is None:
         raise FormatError("missing n=<int> line")
     try:

@@ -93,30 +93,15 @@ def estimate_triple(table: EventTable, a: str, b: str, c: str,
 # Mixtures
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MixtureSpec:
-    """Per-component smoothing coefficients for a triple: p, q, r are each
-    mixed with a background value using their own coefficient."""
-
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma"):
-            object.__setattr__(self, name, as_prob(getattr(self, name)))
-
-
 def smooth_triple(base: CondTriple, background: CondTriple,
-                  coeffs: MixtureSpec | tuple[Fraction, Fraction, Fraction]) -> CondTriple:
-    """Linear smoothing: each component moves toward the background value by
-    its own coefficient."""
-    if not isinstance(coeffs, MixtureSpec):
-        coeffs = MixtureSpec(*coeffs)
+                  coeffs: tuple[Fraction, Fraction, Fraction]) -> CondTriple:
+    """Linear smoothing: each of p, q, r moves toward its background value
+    by its own coefficient from ``coeffs`` = (alpha, beta, gamma)."""
+    alpha, beta, gamma = (as_prob(c) for c in coeffs)
     return CondTriple(
-        p=coeffs.alpha * background.p + (1 - coeffs.alpha) * base.p,
-        q=coeffs.beta * background.q + (1 - coeffs.beta) * base.q,
-        r=coeffs.gamma * background.r + (1 - coeffs.gamma) * base.r,
+        p=alpha * background.p + (1 - alpha) * base.p,
+        q=beta * background.q + (1 - beta) * base.q,
+        r=gamma * background.r + (1 - gamma) * base.r,
     )
 
 

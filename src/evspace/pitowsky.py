@@ -37,39 +37,15 @@ def max_n_from_env() -> int:
 # Vertices
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class VertexVector:
-    """Correlation vector of a binary string: unary entries are its bits,
-    pairwise entries their products."""
-
-    bits: str
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 2 or any(c not in "01" for c in self.bits):
-            raise ValueError(f"bits must be a binary string of length >= 2: {self.bits!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits)
-
-    def unary(self, i: int) -> Fraction:
-        return Fraction(int(self.bits[i - 1]))
-
-    def pairwise(self, i: int, j: int) -> Fraction:
-        return Fraction(int(self.bits[i - 1]) * int(self.bits[j - 1]))
-
-    def as_correlation_vector(self) -> CorrelationVector:
-        n = self.n
-        return CorrelationVector(
-            n,
-            {i: self.unary(i) for i in range(1, n + 1)},
-            {(i, j): self.pairwise(i, j)
-             for i in range(1, n) for j in range(i + 1, n + 1)},
-        )
-
-
-def vertex_vector(bits: str) -> VertexVector:
-    return VertexVector(bits)
+def vertex_vector(n: int, mask: int) -> CorrelationVector:
+    """The complete correlation vector of the vertex with the given mask:
+    event i is bit n - i, as in ``_mask``, and each pairwise entry is the
+    product of its two unary entries."""
+    if not 0 <= mask < 1 << n:
+        raise ValueError(f"mask {mask} outside [0, 2^{n})")
+    bit = {i: ONE if mask >> (n - i) & 1 else ZERO for i in range(1, n + 1)}
+    return CorrelationVector(
+        n, bit, {(i, j): bit[i] * bit[j] for i, j in combinations(bit, 2)})
 
 
 # ---------------------------------------------------------------------------
@@ -78,33 +54,24 @@ def vertex_vector(bits: str) -> VertexVector:
 
 @dataclass(frozen=True)
 class Witness:
-    """Integer separating functional over the correlation coordinates.
+    """Integer separating functional: the LP's Farkas vector, one coefficient
+    per row of ``_rows`` keyed by the row's events, in that order.  The sum
+    row's key ``()`` comes last and holds the constant.
 
     Evaluates strictly positive on the separated vector and <= 0 on every
-    vertex of the polytope.  ``const`` comes from the weight-normalization
-    row of the LP.
+    vertex of the polytope.
     """
 
-    unary: Mapping[int, int]
-    pairwise: Mapping[tuple[int, int], int]
-    const: int
+    coeffs: Mapping[tuple[int, ...], int]
 
     def evaluate(self, v: CorrelationVector) -> Fraction:
-        total = Fraction(self.const)
-        for i, c in self.unary.items():
-            total += c * v.unary[i]
-        for key, c in self.pairwise.items():
-            total += c * v.pairwise[key]
-        return total
+        values = {**dict(v.entries()), (): ONE}
+        return sum((c * values[events] for events, c in self.coeffs.items()), ZERO)
 
     def render(self) -> str:
-        parts = []
-        for i in sorted(self.unary):
-            parts.append(f"{self.unary[i]}·p{i}")
-        for i, j in sorted(self.pairwise):
-            parts.append(f"{self.pairwise[(i, j)]}·p{i},{j}")
-        parts.append(str(self.const))
-        return " + ".join(parts) + " > 0"
+        return " + ".join(
+            f"{c}·p{','.join(map(str, events))}" if events else str(c)
+            for events, c in self.coeffs.items()) + " > 0"
 
 
 @dataclass(frozen=True)
@@ -141,7 +108,7 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
         weights = {k: w for k, w in enumerate(x) if w}
         _verify_weights(rows, weights)
         return PolytopeCertificate(feasible=True, n=v.n, weights=weights)
-    witness = _normalize_witness(entries, y)
+    witness = _normalize_witness(rows, y)
     _verify_witness(v, witness)
     return PolytopeCertificate(feasible=False, n=v.n, witness=witness)
 
@@ -160,24 +127,13 @@ def _rows(n: int, entries) -> list[tuple[tuple[int, ...], int, Fraction]]:
     return rows
 
 
-def _normalize_witness(entries, y: Sequence[Fraction]) -> Witness:
-    denom_lcm = 1
-    for c in y:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in y]
-    g = 0
-    for c in ints:
-        g = math.gcd(g, abs(c))
-    if g > 1:
-        ints = [c // g for c in ints]
-    unary = {}
-    pairwise = {}
-    for (events, _), c in zip(entries, ints):
-        if len(events) == 1:
-            unary[events[0]] = c
-        else:
-            pairwise[events] = c
-    return Witness(unary=unary, pairwise=pairwise, const=ints[-1])
+def _normalize_witness(rows, y: Sequence[Fraction]) -> Witness:
+    """The Farkas vector y over the rows from ``_rows``, scaled to coprime
+    integers."""
+    scale = math.lcm(*(c.denominator for c in y))
+    ints = [int(c * scale) for c in y]
+    g = math.gcd(*ints) or 1
+    return Witness({events: c // g for (events, _, _), c in zip(rows, ints)})
 
 
 def _verify_weights(rows, weights: Mapping[int, Fraction]) -> None:
@@ -197,13 +153,13 @@ def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
     if witness.evaluate(v) <= 0:
         raise RuntimeError("witness does not separate the input")
     # events without a nonzero coefficient do not change the witness's value,
-    # so the 2^k assignments of the k events in its support cover every vertex
-    terms = [((i,), c) for i, c in witness.unary.items() if c]
-    terms += [(key, c) for key, c in witness.pairwise.items() if c]
-    bit = {e: 1 << k for k, e in enumerate({e for key, _ in terms for e in key})}
-    masks = [(sum(bit[e] for e in key), c) for key, c in terms]
+    # so the 2^k assignments of the k events in its support cover every
+    # vertex; the constant is the term of no events, which every one holds
+    terms = [(events, c) for events, c in witness.coeffs.items() if c]
+    bit = {e: 1 << k for k, e in enumerate({e for events, _ in terms for e in events})}
+    masks = [(sum(bit[e] for e in events), c) for events, c in terms]
     for a in range(1 << len(bit)):
-        if witness.const + sum(c for mask, c in masks if a & mask == mask) > 0:
+        if sum(c for mask, c in masks if a & mask == mask) > 0:
             raise RuntimeError("witness fails on a polytope vertex")
 
 

@@ -73,7 +73,7 @@ def realize(t: CondTriple) -> QuantumRealization:
     if not check_complex_qs(t):
         raise NotRepresentableError(
             f"({t.p}, {t.q}, {t.r}) admits no quantum-probability space")
-    p, q, r = float(t.p), float(t.q), float(t.r)
+    p, q = float(t.p), float(t.q)
     s_sq = t.p * t.q * (1 - t.p) * (1 - t.q)
     if s_sq == 0:
         phi = 0.0

@@ -22,6 +22,19 @@ def report_dict(text):
     return dict(Report.parse(text).fields)
 
 
+# the verdict fields of (p, q, r) = (13/18, 5/18, 10/17), the smoothing
+# pathology, up to symmetry_checked, which depends on the marginal
+PATHOLOGY_VERDICT = (
+    "classical: no\n"
+    "real_qs: no\n"
+    "complex_qs: yes\n"
+    "classical_lower: 0\n"
+    "classical_upper: 5/9\n"
+    "complex_lower: 0\n"
+    "complex_upper: 0.802469135802469\n"
+    "boundary: no\n")
+
+
 class TestCheck:
     def test_pathological_triple(self, capsys):
         code, out, _ = run(capsys, "check", "13/18", "5/18", "10/17")
@@ -46,6 +59,13 @@ class TestCheck:
     def test_float_flag(self, capsys):
         _, out, _ = run(capsys, "--float", "check", "1/2", "1/2", "1/2")
         assert report_dict(out)["p"] == "0.5"
+
+    def test_marginal_golden(self, capsys):
+        code, out, err = run(capsys, "check", "13/18", "5/18", "10/17",
+                             "--marginal", "1/2")
+        assert (code, err) == (0, "")
+        assert out == ("p: 13/18\nq: 5/18\nr: 10/17\nmarginal: 1/2\n"
+                       + PATHOLOGY_VERDICT + "symmetry_checked: yes\n")
 
     def test_symmetry_warning(self, capsys):
         _, out, _ = run(capsys, "check", "1/2", "1/2", "1/2")
@@ -137,6 +157,18 @@ class TestVector:
         assert code == 0
         assert int(fields["subsets"]) >= 2
 
+    @pytest.mark.parametrize("text, key", [
+        ("n=2\np1=1/2\np1=3/4\np2=1/2\n", "p1"),
+        ("n=2\np1=1/2\np2=1/2\np1,2=1/4\np1,2=1/2\n", "p1,2"),
+        ("n=2\np1=1/2\nn=3\np2=1/2\n", "n"),
+    ], ids=["unary", "pair", "n"])
+    def test_duplicate_key_exits_2(self, tmp_path, capsys, text, key):
+        vec = tmp_path / "dup.vec"
+        vec.write_text(text)
+        code, out, err = run(capsys, "vector", str(vec), "membership")
+        assert (code, out) == (2, "")
+        assert err == f"error: duplicate key: {key!r}\n"
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vec"
         bad.write_text("nonsense\n")
@@ -187,13 +219,23 @@ class TestVector:
 
 class TestEstimateMixSmooth:
     def test_estimate(self, capsys):
-        code, out, _ = run(capsys, "estimate", fixture_path("fig3.tbl"),
-                           "A", "B", "C", "--strategy", "exclude-unknown")
-        fields = report_dict(out)
-        assert code == 0
-        assert (fields["p"], fields["q"], fields["r"]) == ("2/5", "4/5", "1/5")
-        assert fields["classical"] == "yes"
-        assert fields["boundary"] == "yes"
+        code, out, err = run(capsys, "estimate", fixture_path("fig3.tbl"),
+                             "A", "B", "C", "--strategy", "exclude-unknown")
+        assert (code, err) == (0, "")
+        assert out == (
+            "p: 2/5\n"
+            "q: 4/5\n"
+            "r: 1/5\n"
+            "marginal: 1/2\n"
+            "classical: yes\n"
+            "real_qs: no\n"
+            "complex_qs: yes\n"
+            "classical_lower: 1/5\n"
+            "classical_upper: 3/5\n"
+            "complex_lower: 0.0480816411546915\n"
+            "complex_upper: 0.831918358845309\n"
+            "boundary: yes\n"
+            "symmetry_checked: yes\n")
 
     def test_estimate_unknown_observable_exits_2(self, capsys):
         code, out, err = run(capsys, "estimate", fixture_path("fig1.tbl"),
@@ -203,20 +245,47 @@ class TestEstimateMixSmooth:
         assert err == "error: unknown observable 'D'\n"
 
     def test_mix(self, capsys):
-        code, out, _ = run(capsys, "mix", "--alpha", "1/2",
-                           fixture_path("s1.tbl"), fixture_path("s2.tbl"))
-        fields = report_dict(out)
-        assert code == 0
-        assert (fields["p"], fields["q"], fields["r"]) == ("2/5", "1/5", "3/10")
-        assert fields["classical"] == "no"
+        code, out, err = run(capsys, "mix", "--alpha", "1/2",
+                             fixture_path("s1.tbl"), fixture_path("s2.tbl"))
+        assert (code, err) == (0, "")
+        assert out == (
+            "alpha: 1/2\n"
+            "p: 2/5\n"
+            "q: 1/5\n"
+            "r: 3/10\n"
+            "classical: no\n"
+            "real_qs: no\n"
+            "complex_qs: yes\n"
+            "classical_lower: 2/5\n"
+            "classical_upper: 4/5\n"
+            "complex_lower: 0.168081641154692\n"
+            "complex_upper: 0.951918358845309\n"
+            "boundary: no\n"
+            "symmetry_checked: no\n"
+            "warning: equal-marginals premise not verified; verdict is a caveat\n")
+
+    @pytest.mark.parametrize("tables", [
+        pytest.param(["two.tbl"], id="one-table"),
+        pytest.param([fixture_path("s1.tbl"), "missing.tbl", fixture_path("s2.tbl")],
+                     id="three-tables"),
+    ])
+    def test_mix_table_count_checked_before_reading(self, tmp_path, capsys,
+                                                    monkeypatch, tables):
+        # neither the two-observable table nor the missing file is opened
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "two.tbl").write_text("A,B\n1,1\n")
+        code, out, err = run(capsys, "mix", *tables, "--alpha", "1/2")
+        assert (code, out) == (2, "")
+        assert err == "error: mix expects exactly two table files\n"
 
     def test_smooth(self, capsys):
-        code, out, _ = run(capsys, "smooth", "3/4", "1/4", "9/15",
-                           "--alpha", "1/9", "--beta", "1/9", "--gamma", "2/17")
-        fields = report_dict(out)
-        assert code == 0
-        assert (fields["p"], fields["q"], fields["r"]) == ("13/18", "5/18", "10/17")
-        assert fields["classical"] == "no"
+        code, out, err = run(capsys, "smooth", "3/4", "1/4", "9/15",
+                             "--alpha", "1/9", "--beta", "1/9", "--gamma", "2/17")
+        assert (code, err) == (0, "")
+        assert out == (
+            "p: 13/18\nq: 5/18\nr: 10/17\n" + PATHOLOGY_VERDICT
+            + "symmetry_checked: no\n"
+            "warning: equal-marginals premise not verified; verdict is a caveat\n")
 
 
 class TestRealizeSurvey:
@@ -302,6 +371,38 @@ class TestReport:
         report.add("p", Fraction(1, 2))
         assert report.to_text() == "p: 0.5\n"
         assert Report.parse(report.to_text()) == report
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["check", "1/2", "1/2", "1/2"], id="check"),
+        pytest.param(["check", "13/18", "5/18", "10/17", "--marginal", "1/2"],
+                     id="check-marginal"),
+        pytest.param(["vector", fixture_path("vec_n2_infeasible.vec"), "membership"],
+                     id="membership-n2"),
+        pytest.param(["vector", fixture_path("vec_n2_infeasible.vec"), "decompose"],
+                     id="decompose-n2"),
+        pytest.param(["vector", fixture_path("vec_n3_gap.vec"), "membership"],
+                     id="membership-n3"),
+        pytest.param(["vector", fixture_path("vec_n3_gap.vec"), "decompose"],
+                     id="decompose-n3"),
+        pytest.param(["estimate", fixture_path("fig1.tbl"), "A", "B", "C"],
+                     id="estimate-fig1"),
+        pytest.param(["estimate", fixture_path("fig3.tbl"), "A", "B", "C",
+                      "--strategy", "unknown-as-absent"], id="estimate-fig3"),
+        pytest.param(["mix", fixture_path("s1.tbl"), fixture_path("s2.tbl"),
+                      "--alpha", "1/3"], id="mix"),
+        pytest.param(["smooth", "3/4", "1/4", "9/15", "--alpha", "1/9",
+                      "--beta", "1/9", "--gamma", "2/17"], id="smooth"),
+        pytest.param(["realize", "1/4", "1/4", "1/2"], id="realize"),
+        pytest.param(["realize", "1/10", "2/10", "3/10"], id="realize-rejected"),
+        pytest.param(["survey", fixture_path("toy_docs.txt"),
+                      fixture_path("toy_qrels.txt")], id="survey"),
+        pytest.param(["reproduce"], id="reproduce"),
+    ])
+    @pytest.mark.parametrize("flags", [[], ["--float"]], ids=["exact", "float"])
+    def test_real_output_roundtrips(self, capsys, argv, flags):
+        code, out, err = run(capsys, *flags, *argv)
+        assert (code, err) == (0, "")
+        assert Report.parse(out).to_text() == out
 
     def test_stable_order(self, capsys):
         _, out1, _ = run(capsys, "check", "1/4", "1/4", "1/2")

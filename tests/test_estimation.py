@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 
 from evspace.admissibility import check_classical
 from evspace.core import CondTriple, Ternary, parse_event_table
-from evspace.estimation import (Corpus, MissingStrategy, MixtureSpec,
-                                ZeroConditioningError, broker_mix, cond_prob,
-                                estimate_triple, parse_corpus, smooth_triple,
-                                survey_corpus)
+from evspace.estimation import (Corpus, MissingStrategy, ZeroConditioningError,
+                                broker_mix, cond_prob, estimate_triple,
+                                parse_corpus, smooth_triple, survey_corpus)
 
 probs = st.fractions(0, 1)
 
@@ -164,7 +163,7 @@ class TestSmoothTriple:
     def test_unit_coefficients(self):
         base = CondTriple(F(3, 4), F(1, 4), F(3, 5))
         background = CondTriple(F(1, 2), F(1, 3), F(1, 4))
-        out = smooth_triple(base, background, MixtureSpec(F(1), F(1), F(1)))
+        out = smooth_triple(base, background, (F(1), F(1), F(1)))
         assert (out.p, out.q, out.r) == (background.p, background.q, background.r)
 
     @given(probs, probs, probs, probs, probs, probs, probs, probs, probs)

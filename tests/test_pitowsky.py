@@ -26,28 +26,30 @@ def complete_vector(n, unary, pairwise):
 
 class TestVertexVector:
     def test_mixed_bits(self):
-        v = vertex_vector("01")
-        assert (v.unary(1), v.unary(2), v.pairwise(1, 2)) == (0, 1, 0)
+        v = vertex_vector(2, 0b01)
+        assert (v.unary[1], v.unary[2], v.pairwise[(1, 2)]) == (0, 1, 0)
 
     def test_all_ones(self):
-        v = vertex_vector("111")
-        cv = v.as_correlation_vector()
+        cv = vertex_vector(3, 0b111)
         assert set(cv.unary.values()) == {1} and set(cv.pairwise.values()) == {1}
 
     def test_all_zeros(self):
-        cv = vertex_vector("000").as_correlation_vector()
+        cv = vertex_vector(3, 0b000)
         assert set(cv.unary.values()) == {0} and set(cv.pairwise.values()) == {0}
 
-    def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            vertex_vector("0x1")
+    def test_mask_out_of_range_rejected(self):
+        for mask in (-1, 0b1000):
+            with pytest.raises(ValueError, match="outside"):
+                vertex_vector(3, mask)
 
-    @given(st.text(alphabet="01", min_size=2, max_size=5))
-    def test_pairwise_is_min_of_bits(self, bits):
-        v = vertex_vector(bits)
+    @given(st.integers(2, 5).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_pairwise_is_min_of_bits(self, n_mask):
+        v = vertex_vector(*n_mask)
+        assert v.is_complete
         for i in range(1, v.n):
             for j in range(i + 1, v.n + 1):
-                assert v.pairwise(i, j) == min(v.unary(i), v.unary(j))
+                assert v.pairwise[(i, j)] == min(v.unary[i], v.unary[j])
 
 
 class TestMembership:
@@ -73,11 +75,12 @@ class TestMembership:
         assert not cert.feasible
         assert not check_classical(CondTriple(F(1, 4), F(1, 4), F(1, 4)))
 
-    @given(st.text(alphabet="01", min_size=2, max_size=4))
-    def test_vertices_feasible_with_singleton_weight(self, bits):
-        cert = membership(vertex_vector(bits).as_correlation_vector())
-        # the mask sets bit n - i for event i, as int() reads the bits
-        assert cert.feasible and cert.weights == {int(bits, 2): F(1)}
+    @given(st.integers(2, 4).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
+    def test_vertices_feasible_with_singleton_weight(self, n_mask):
+        # the vertex's mask is its LP column, so it is the one weight's key
+        cert = membership(vertex_vector(*n_mask))
+        assert cert.feasible and cert.weights == {n_mask[1]: F(1)}
 
     def test_partial_vector_existential(self):
         # only one pairwise entry observed; the missing ones are free
@@ -120,8 +123,7 @@ def _verify_all_vertices(v, witness):
     if witness.evaluate(v) <= 0:
         raise RuntimeError("witness does not separate the input")
     for k in range(1 << v.n):
-        vertex = vertex_vector(format(k, f"0{v.n}b")).as_correlation_vector()
-        if witness.evaluate(vertex) > 0:
+        if witness.evaluate(vertex_vector(v.n, k)) > 0:
             raise RuntimeError("witness fails on a polytope vertex")
 
 
@@ -139,15 +141,11 @@ class TestVerifyWitness:
             if cert.feasible:
                 continue
             w = cert.witness
-            key = rng.choice([None] + list(w.unary) + list(w.pairwise))
-            step = rng.choice((-1, 1))
-            unary, pairwise = dict(w.unary), dict(w.pairwise)
-            if key in unary:
-                unary[key] += step
-            elif key in pairwise:
-                pairwise[key] += step
-            for witness in (w, Witness(unary, pairwise,
-                                       w.const + step * (key is None))):
+            # the key () is the constant
+            key = rng.choice(list(w.coeffs))
+            coeffs = dict(w.coeffs)
+            coeffs[key] += rng.choice((-1, 1))
+            for witness in (w, Witness(coeffs)):
                 errors = []
                 for check in (_verify_witness, _verify_all_vertices):
                     try:
@@ -163,10 +161,9 @@ class TestVerifyWitness:
     def test_violation_on_a_two_event_support_caught(self):
         # p1 - p1,2 is positive on v and on every vertex with bits 1, 2 = 1, 0
         v = complete_vector(4, [F(1, 2)] * 4, [F(1, 4)] * 6)
-        witness = Witness(unary={1: 1, 2: 0, 3: 0, 4: 0},
-                          pairwise={(1, 2): -1, (1, 3): 0, (1, 4): 0,
-                                    (2, 3): 0, (2, 4): 0, (3, 4): 0},
-                          const=0)
+        witness = Witness({(1,): 1, (2,): 0, (3,): 0, (4,): 0,
+                           (1, 2): -1, (1, 3): 0, (1, 4): 0,
+                           (2, 3): 0, (2, 4): 0, (3, 4): 0, (): 0})
         with pytest.raises(RuntimeError, match="fails on a polytope vertex"):
             _verify_witness(v, witness)
 
