@@ -14,8 +14,7 @@ from .estimation import (Corpus, MissingStrategy, broker_mix, cond_prob,
                          survey_corpus)
 from .pitowsky import (CapExceededError, PolytopeCertificate,
                        RankingDecomposition, Witness, build_ranking_vector,
-                       closed_form_n2, closed_form_n3, decompose, membership,
-                       vertex_vector)
+                       closed_form_n3, decompose, membership, vertex_vector)
 from .quantum import (Field, NotRepresentableError, QuantumRealization,
                       StateVector, amplitude_prob, realize)
 

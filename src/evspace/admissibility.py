@@ -27,22 +27,16 @@ def classical_bounds(t: CondTriple) -> tuple[Fraction, Fraction]:
     return abs(t.p + t.q - 1), 1 - abs(t.p - t.q)
 
 
-def _center_radius_sq(t: CondTriple) -> tuple[Fraction, Fraction]:
-    # complex-QS interval is [center - 2*sqrt(st), center + 2*sqrt(st)]
-    # with s = pq, t = (1-p)(1-q); radius^2 = 4*s*t.
+def quantum_interval(t: CondTriple) -> tuple[Fraction, Fraction, Fraction]:
+    """(center, radius_sq, gap) of the complex-QS interval
+    [center - 2*sqrt(su), center + 2*sqrt(su)], s = pq, u = (1-p)(1-q):
+    radius_sq = 4su, and gap = (r - center)^2 - radius_sq is <= 0 iff
+    complex-QS and == 0 iff real-QS."""
     s = t.p * t.q
     u = (1 - t.p) * (1 - t.q)
-    return s + u, 4 * s * u
-
-
-def _in_classical(t: CondTriple, bounds: tuple[Fraction, Fraction]) -> bool:
-    lo, hi = bounds
-    return lo <= t.r <= hi
-
-
-def _quantum_gap(t: CondTriple, center: Fraction, radius_sq: Fraction) -> Fraction:
-    """(r - center)^2 - radius^2: <= 0 iff complex-QS, == 0 iff real-QS."""
-    return (t.r - center) ** 2 - radius_sq
+    center = s + u
+    radius_sq = 4 * s * u
+    return center, radius_sq, (t.r - center) ** 2 - radius_sq
 
 
 def check_classical(t: CondTriple) -> bool:
@@ -54,16 +48,17 @@ def check_classical(t: CondTriple) -> bool:
     says whether the premise was verified, and ``pitowsky.membership`` on
     the full unary-and-pairwise vector decides the space without it.
     """
-    return _in_classical(t, classical_bounds(t))
+    lo, hi = classical_bounds(t)
+    return lo <= t.r <= hi
 
 
 def check_complex_qs(t: CondTriple) -> bool:
-    return _quantum_gap(t, *_center_radius_sq(t)) <= 0
+    return quantum_interval(t)[2] <= 0
 
 
 def check_real_qs(t: CondTriple) -> bool:
     """True iff r sits exactly on an endpoint of the complex-QS interval."""
-    return _quantum_gap(t, *_center_radius_sq(t)) == 0
+    return quantum_interval(t)[2] == 0
 
 
 def classify(t: CondTriple) -> AdmissibilityVerdict:
@@ -74,9 +69,8 @@ def classify(t: CondTriple) -> AdmissibilityVerdict:
     symmetry_checked = False.
     """
     bounds = classical_bounds(t)
-    center, radius_sq = _center_radius_sq(t)
-    classical = _in_classical(t, bounds)
-    gap = _quantum_gap(t, center, radius_sq)
+    classical = bounds[0] <= t.r <= bounds[1]
+    center, radius_sq, gap = quantum_interval(t)
     real_qs = gap == 0
     boundary = (classical and t.r in bounds) or real_qs
     # float rendering of the complex-QS interval (display only)

@@ -119,6 +119,8 @@ def cmd_check(args) -> tuple[int, Report]:
 
 
 def cmd_vector(args) -> tuple[int, Report]:
+    if args.subcommand == "membership" and args.relevance is not None:
+        raise FormatError("--relevance applies only to decompose")
     with open(args.file) as fh:
         v = parse_correlation_vector(fh.read())
     max_n = pitowsky.max_n_from_env()
@@ -318,7 +320,7 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
         cert = pitowsky.membership(v)
         assert not cert.feasible
         assert cert.witness.evaluate(v) > 0
-        assert not pitowsky.closed_form_n2(v)
+        assert pitowsky.violated_faces(v) == [(1, 2)]
 
     def n3_gap_and_corollary():
         v = parse_correlation_vector(_fixture("vec_n3_gap.vec"))

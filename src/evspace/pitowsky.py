@@ -167,32 +167,29 @@ def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
 # Closed-form small-n systems
 # ---------------------------------------------------------------------------
 
-def _require_complete(v: CorrelationVector, n: int) -> None:
-    if v.n != n or not v.is_complete:
-        raise ValueError(f"expected a complete n={n} correlation vector")
-
-
-def closed_form_n2(v: CorrelationVector) -> bool:
-    """Displayed two-event inequality system; equivalent to membership."""
-    _require_complete(v, 2)
-    return _pair_holds(v.unary[1], v.unary[2], v.pairwise[(1, 2)])
-
-
 def _pair_holds(pi: Fraction, pj: Fraction, pij: Fraction) -> bool:
     """The n=2 system, for probabilities in [0, 1]: its rows are the trivial
     facets of the correlation polytope."""
     return ZERO <= pij <= min(pi, pj) and pi + pj - pij <= ONE
 
 
+def _corner_rows_hold(p: Mapping[int, Fraction],
+                      pp: Mapping[tuple[int, int], Fraction],
+                      i: int, j: int, k: int) -> bool:
+    """The three triangle facets p_ij + p_ik - p_jk <= p_i, one at each
+    event, i < j < k."""
+    pij, pik, pjk = pp[(i, j)], pp[(i, k)], pp[(j, k)]
+    return (pij + pik - pjk <= p[i]
+            and pij + pjk - pik <= p[j]
+            and pik + pjk - pij <= p[k])
+
+
 def _triangle_holds(p: Mapping[int, Fraction],
                     pp: Mapping[tuple[int, int], Fraction],
                     i: int, j: int, k: int) -> bool:
     """The four triangle facets of the three-event polytope, i < j < k."""
-    pij, pik, pjk = pp[(i, j)], pp[(i, k)], pp[(j, k)]
-    return (p[i] + p[j] + p[k] - pij - pik - pjk <= ONE
-            and pij + pik - pjk <= p[i]
-            and pij + pjk - pik <= p[j]
-            and pik + pjk - pij <= p[k])
+    return (p[i] + p[j] + p[k] - pp[(i, j)] - pp[(i, k)] - pp[(j, k)] <= ONE
+            and _corner_rows_hold(p, pp, i, j, k))
 
 
 def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
@@ -211,27 +208,18 @@ def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
 
 
 def closed_form_n3(v: CorrelationVector) -> bool:
-    """Displayed three-event inequality system.
+    """The paper's displayed three-event system: the pair rows of each pair
+    and the triangle row at each event.
 
-    Necessary only: some polytope facets are not among the displayed rows
-    (e.g. unary 1/2 with pairwise 1/8 passes here but is LP-infeasible), so
+    Necessary only: it lacks the facet p1 + p2 + p3 - p1,2 - p1,3 - p2,3 <= 1
+    (unary 1/2 with pairwise 1/8 passes here but is LP-infeasible), so
     membership() remains the authoritative test.
     """
-    _require_complete(v, 3)
-    p = v.unary
-    pp = v.pairwise
-    for i, j in ((1, 2), (1, 3), (2, 3)):
-        if not (ZERO <= pp[(i, j)] <= p[i] <= ONE):
-            return False
-        if not (ZERO <= p[i] + p[j] - pp[(i, j)] <= ONE):
-            return False
-    if p[1] - pp[(1, 2)] - pp[(1, 3)] + pp[(2, 3)] < 0:
-        return False
-    if p[2] - pp[(1, 2)] - pp[(2, 3)] + pp[(1, 3)] < 0:
-        return False
-    if p[3] - pp[(1, 3)] - pp[(2, 3)] + pp[(1, 2)] < 0:
-        return False
-    return True
+    if v.n != 3 or not v.is_complete:
+        raise ValueError("expected a complete n=3 correlation vector")
+    p, pp = v.unary, v.pairwise
+    return (all(_pair_holds(p[i], p[j], pij) for (i, j), pij in pp.items())
+            and _corner_rows_hold(p, pp, 1, 2, 3))
 
 
 # ---------------------------------------------------------------------------

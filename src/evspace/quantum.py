@@ -2,23 +2,19 @@
 
 Dimension is fixed at 2 with a canonical gauge: the second observable is the
 first basis vector, the first is real, and the relative phase is carried
-entirely by the third.  Exact admissibility questions are delegated to the
-admissibility module; only the arccos step here is floating point.
+entirely by the third.  The admissibility module decides representability
+and the field exactly; floats enter only the vectors built from an exact
+cos^2(phi).
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
-from typing import Sequence
 
-from .admissibility import check_complex_qs, check_real_qs
+from .admissibility import quantum_interval
 from .core import CondTriple
-
-EPSILON = 1e-12
 
 
 class NotRepresentableError(ValueError):
@@ -67,29 +63,23 @@ def realize(t: CondTriple) -> QuantumRealization:
     """Construct unit vectors whose squared amplitudes reproduce (p, q, r).
 
     b = (1, 0); a = (sqrt(p), sqrt(1-p)); c = (sqrt(q), e^{i phi} sqrt(1-q))
-    with cos(phi) = (r - pq - (1-p)(1-q)) / (2 sqrt(pq(1-p)(1-q))).  When
-    p or q is 0 or 1 the denominator vanishes, r is forced, and phi = 0.
+    with cos^2(phi) = (r - center)^2 / radius_sq exactly, for the center and
+    radius_sq of ``quantum_interval``, and cos(phi) of the sign of
+    r - center.  When p or q is 0 or 1, radius_sq is 0, r is forced, and
+    phi = 0.
     """
-    if not check_complex_qs(t):
+    center, radius_sq, gap = quantum_interval(t)
+    if gap > 0:
         raise NotRepresentableError(
             f"({t.p}, {t.q}, {t.r}) admits no quantum-probability space")
+    # cos2 is an exact rational in [0, 1], and a correctly rounded float of
+    # it stays in [0.0, 1.0], so cos_phi needs no clamp
+    cos2 = (t.r - center) ** 2 / radius_sq if radius_sq else 1
+    cos_phi = math.copysign(math.sqrt(cos2), t.r - center)
     p, q = float(t.p), float(t.q)
-    s_sq = t.p * t.q * (1 - t.p) * (1 - t.q)
-    if s_sq == 0:
-        phi = 0.0
-    else:
-        cos_phi = float(t.r - t.p * t.q - (1 - t.p) * (1 - t.q)) / (2 * math.sqrt(float(s_sq)))
-        if cos_phi > 1.0:
-            if cos_phi > 1.0 + EPSILON:
-                raise NotRepresentableError(f"cos(phi) = {cos_phi} outside [-1, 1]")
-            cos_phi = 1.0
-        elif cos_phi < -1.0:
-            if cos_phi < -1.0 - EPSILON:
-                raise NotRepresentableError(f"cos(phi) = {cos_phi} outside [-1, 1]")
-            cos_phi = -1.0
-        phi = math.acos(cos_phi)
     a = StateVector((math.sqrt(p), math.sqrt(1 - p)))
     b = StateVector((1.0, 0.0))
-    c = StateVector((math.sqrt(q), cmath.exp(1j * phi) * math.sqrt(1 - q)))
-    field = Field.REAL if check_real_qs(t) else Field.COMPLEX
-    return QuantumRealization(a=a, b=b, c=c, phase=phi, field=field)
+    c = StateVector((math.sqrt(q),
+                     complex(cos_phi, math.sqrt(1 - cos2)) * math.sqrt(1 - q)))
+    field = Field.REAL if gap == 0 else Field.COMPLEX
+    return QuantumRealization(a=a, b=b, c=c, phase=math.acos(cos_phi), field=field)

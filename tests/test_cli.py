@@ -136,6 +136,14 @@ class TestVector:
         assert out == ""
         assert err == "error: relevance index 0 outside 1..3\n"
 
+    @pytest.mark.parametrize("relevance", ["1", "9"])
+    def test_relevance_under_membership_exits_2(self, capsys, relevance):
+        code, out, err = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
+                             "membership", "--relevance", relevance)
+        assert code == 2
+        assert out == ""
+        assert err == "error: --relevance applies only to decompose\n"
+
     def test_bad_n_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vec"
         bad.write_text("n=abc\np1=1/2\n")

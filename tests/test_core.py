@@ -137,6 +137,22 @@ class TestCorrelationVector:
         v = parse_correlation_vector(text)
         assert serialize_correlation_vector(v) == text
 
+    @given(st.data())
+    def test_roundtrip_random(self, data):
+        n = data.draw(st.integers(2, 6))
+        value = st.fractions(0, 1, max_denominator=1000)
+        present = st.booleans()
+        v = CorrelationVector(
+            n, {i: data.draw(value) for i in range(1, n + 1) if data.draw(present)},
+            {(i, j): data.draw(value) for i in range(1, n)
+             for j in range(i + 1, n + 1) if data.draw(present)})
+        text = serialize_correlation_vector(v)
+        assert parse_correlation_vector(text) == v
+        noisy = "# a vector\n\n" + "".join(
+            f"  {key} = {val}\n# entry\n\n"
+            for key, _, val in (ln.partition("=") for ln in text.splitlines()))
+        assert parse_correlation_vector(noisy) == v
+
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             CorrelationVector(2, {3: F(1, 2)})

@@ -10,7 +10,7 @@ from evspace.admissibility import check_classical
 from evspace.core import CondTriple, CorrelationVector
 from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
                               _feasibility, _restrict, _verify_witness,
-                              build_ranking_vector, closed_form_n2, closed_form_n3,
+                              build_ranking_vector, closed_form_n3,
                               decompose, membership, vertex_vector,
                               violated_faces)
 
@@ -170,17 +170,18 @@ class TestVerifyWitness:
 
 class TestClosedForms:
     def test_n2_independent(self):
-        assert closed_form_n2(complete_vector(2, [F(1, 2), F(1, 2)], [F(1, 4)]))
+        assert violated_faces(complete_vector(2, [F(1, 2), F(1, 2)], [F(1, 4)])) == []
 
     def test_n2_violated(self):
-        assert not closed_form_n2(complete_vector(2, [F(1, 2), F(1, 2)], [F(3, 5)]))
+        v = complete_vector(2, [F(1, 2), F(1, 2)], [F(3, 5)])
+        assert violated_faces(v) == [(1, 2)]
 
     def test_n2_all_ones(self):
-        assert closed_form_n2(complete_vector(2, [F(1), F(1)], [F(1)]))
+        assert violated_faces(complete_vector(2, [F(1), F(1)], [F(1)])) == []
 
     def test_n2_wrong_arity(self):
         with pytest.raises(ValueError):
-            closed_form_n2(complete_vector(3, [F(1, 2)] * 3, [F(1, 4)] * 3))
+            closed_form_n3(complete_vector(2, [F(1, 2)] * 2, [F(1, 4)]))
 
     def test_n3_feasible(self):
         assert closed_form_n3(complete_vector(3, [F(1, 2)] * 3, [F(1, 4)] * 3))
@@ -199,7 +200,13 @@ class TestClosedForms:
         for _ in range(300):
             v = complete_vector(2, [rand_prob(rng), rand_prob(rng)],
                                 [rand_prob(rng)])
-            assert closed_form_n2(v) == membership(v).feasible
+            assert (violated_faces(v) == []) == membership(v).feasible
+
+    def test_n3_pair_row_at_the_higher_index(self):
+        # p2,3 = 1/6 > p3 = 0 breaks the pair row p2,3 <= p3
+        v = complete_vector(3, [F(1, 6), F(1, 3), F(0)], [F(1, 6), F(0), F(1, 6)])
+        assert not closed_form_n3(v)
+        assert violated_faces(v) == [(2, 3)]
 
     def test_n3_necessity_randomized(self, rng):
         for _ in range(200):
@@ -305,12 +312,15 @@ class TestViolatedFaces:
             assert len(face) in (2, 3) and list(face) == sorted(set(face))
             assert not membership(_restrict(v, face)).feasible, face
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.builds(F, st.integers(0, 8), st.just(8)),
-                    min_size=6, max_size=6))
-    def test_pair_and_triangle_rows_decide_three_events(self, values):
-        # COR(3) is cut out by its 12 trivial and 4 triangle facets
-        v = complete_vector(3, values[:3], values[3:])
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from([2, 3]), st.data())
+    def test_pair_and_triangle_rows_decide_three_events(self, n, data):
+        # COR(2) is cut out by its 4 trivial facets, and COR(3) by its 12
+        # trivial and 4 triangle facets
+        size = n * (n + 1) // 2
+        values = data.draw(st.lists(st.builds(F, st.integers(0, 8), st.just(8)),
+                                    min_size=size, max_size=size))
+        v = complete_vector(n, values[:n], values[n:])
         assert bool(violated_faces(v)) == (not membership(v).feasible)
 
     def test_absent_entries_are_not_screened(self):

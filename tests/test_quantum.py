@@ -3,7 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evspace.admissibility import check_complex_qs, check_real_qs
@@ -92,3 +92,23 @@ class TestRealize:
             t_r = pp * q + (1 - pp) * (1 - q)
             real = realize(CondTriple(pp, q, t_r))
             assert real.phase == 0.0
+
+    @given(st.fractions(0, 1, max_denominator=10 ** 6), st.booleans())
+    @example(F(0), True)
+    @example(F(0), False)
+    @example(F(1), True)
+    @example(F(1), False)
+    @example(F(1, 3), False)
+    @example(F(1, 2), False)
+    def test_real_boundary_is_exact(self, p, upper):
+        # p = q puts the complex interval's ends at 1 and (2p - 1)^2
+        t = CondTriple(p, p, F(1) if upper else (2 * p - 1) ** 2)
+        real = realize(t)
+        assert real.field is Field.REAL
+        assert real.phase in (0.0, math.pi)
+        for vec in (real.a, real.b, real.c):
+            assert all(math.copysign(1.0, z.imag) == 1.0 and z.imag == 0.0
+                       for z in vec.components)
+        assert amplitude_prob(real.a, real.b) == pytest.approx(float(p), abs=1e-12)
+        assert amplitude_prob(real.b, real.c) == pytest.approx(float(p), abs=1e-12)
+        assert amplitude_prob(real.a, real.c) == pytest.approx(float(t.r), abs=1e-12)
