@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import AdmissibilityVerdict, CondTriple, ONE, ZERO, as_prob
+from .core import AdmissibilityVerdict, CondTriple, ZERO, as_prob
 
 HALF = Fraction(1, 2)
 

@@ -17,9 +17,8 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from . import admissibility, estimation, pitowsky, quantum
-from .core import (CapExceededError, CondTriple, CorrelationVector, FormatError,
-                   parse_event_table, parse_correlation_vector, parse_prob,
-                   parse_rational)
+from .core import (CapExceededError, CondTriple, FormatError, parse_event_table,
+                   parse_correlation_vector, parse_prob)
 from .estimation import MissingStrategy
 
 EXIT_OK = 0
@@ -462,8 +461,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except RuntimeError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    if report is not None:
-        sys.stdout.write(report.to_text())
+    sys.stdout.write(report.to_text())
     return code
 
 

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,11 +47,14 @@ def as_prob(value: Fraction | int) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``a/b`` or a decimal literal; decimals are read exactly as a/10^k."""
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise FormatError(f"not a rational literal: {text!r}") from exc
+    """Parse ``a/b`` or a plain decimal, read exactly as a/10^k.  An exponent
+    is refused: ``Fraction`` would expand 1e-30000000 into 30 million digits."""
+    if "e" not in text.lower():
+        try:
+            return Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise FormatError(f"not a rational literal: {text!r}")
 
 
 def parse_prob(text: str) -> Fraction:
@@ -216,6 +219,15 @@ class AdmissibilityVerdict:
 # Text formats
 # ---------------------------------------------------------------------------
 
+def data_lines(text: str) -> Iterator[str]:
+    """The stripped lines of an input file that carry data: blank lines and
+    lines whose first non-blank character is ``#`` are skipped."""
+    for ln in text.splitlines():
+        ln = ln.strip()
+        if ln and not ln.startswith("#"):
+            yield ln
+
+
 _COUNT_SUFFIX = re.compile(r"(?:\s+|\s*,\s*)x(\d+)\s*$")
 _CELL = {t.value: t for t in Ternary}
 
@@ -225,17 +237,17 @@ def parse_event_table(text: str) -> EventTable:
 
     First data line: comma-separated observable names.  Each later line:
     comma-separated cells from {1, 0, ?} with an optional ``xN`` count suffix
-    (default 1).  ``#`` starts a comment.
+    (default 1).
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines:
+    lines = data_lines(text)
+    header = next(lines, None)
+    if header is None:
         raise FormatError("empty table")
-    observables = tuple(name.strip() for name in lines[0].split(","))
+    observables = tuple(name.strip() for name in header.split(","))
     if any(not name for name in observables):
-        raise FormatError(f"bad header line: {lines[0]!r}")
+        raise FormatError(f"bad header line: {header!r}")
     rows = []
-    for ln in lines[1:]:
+    for ln in lines:
         count = 1
         m = _COUNT_SUFFIX.search(ln)
         if m:
@@ -251,8 +263,6 @@ def parse_event_table(text: str) -> EventTable:
             raise FormatError(
                 f"row has {len(cells)} cells, expected {len(observables)}")
         rows.append((tuple(cells), count))
-    if not rows or sum(c for _, c in rows) == 0:
-        raise FormatError("empty table")
     try:
         return EventTable(observables, tuple(rows))
     except ValueError as exc:
@@ -276,10 +286,7 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
     n = None
     unary: dict[int, Fraction] = {}
     pairwise: dict[tuple[int, int], Fraction] = {}
-    for ln in text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in data_lines(text):
         if "=" not in ln:
             raise FormatError(f"bad line: {ln!r}")
         key, _, value = ln.partition("=")

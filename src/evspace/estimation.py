@@ -14,11 +14,11 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 from . import admissibility
 from .core import (AdmissibilityVerdict, CapExceededError, CondTriple,
-                   EventTable, FormatError, Ternary, as_prob)
+                   EventTable, FormatError, Ternary, as_prob, data_lines)
 
 # bound on survey rows, counted as Σ C(k, 2) over queries before any work:
 # each row takes about 90 µs on one x86_64 core, so 10^6 rows is 1.5 minutes
@@ -36,36 +36,39 @@ class MissingStrategy(Enum):
     UNKNOWN_AS_ABSENT = "unknown-as-absent"
 
 
-def restrict_known(table: EventTable, names: Sequence[str]) -> EventTable:
-    """Drop rows with an Unknown cell in any of the named columns."""
-    cols = [table.column(name) for name in names]
-    rows = tuple(
-        (cells, count) for cells, count in table.rows
-        if all(cells[c] is not Ternary.UNKNOWN for c in cols))
-    if not rows:
-        raise ZeroConditioningError("no rows with all queried observables known")
-    return EventTable(table.observables, rows)
+def _measure(table: EventTable, names: Sequence[str],
+             strategy: MissingStrategy) -> Callable[..., int]:
+    """Apply the missing-value rule once for the queried ``names``: under
+    EXCLUDE_UNKNOWN the universe is the rows where all of them are known.
+    The returned ``count(*present)`` measures the universe's rows where all
+    of ``present`` are Present (Unknown reads as Absent); ``count()`` is the
+    universe's total."""
+    cols = {name: table.column(name) for name in names}
+    rows = table.rows
+    if strategy is MissingStrategy.EXCLUDE_UNKNOWN:
+        rows = [(cells, n) for cells, n in rows
+                if all(cells[c] is not Ternary.UNKNOWN for c in cols.values())]
+        if not rows:
+            raise ZeroConditioningError("no rows with all queried observables known")
+
+    def count(*present: str) -> int:
+        idx = [cols[name] for name in present]
+        return sum(n for cells, n in rows
+                   if all(cells[c] is Ternary.PRESENT for c in idx))
+    return count
 
 
-def _count(table: EventTable, present: Sequence[int]) -> int:
-    # Ternary.UNKNOWN never matches PRESENT, which is exactly the
-    # unknown-as-absent reading; exclude-unknown pre-filters the rows.
-    return sum(
-        count for cells, count in table.rows
-        if all(cells[c] is Ternary.PRESENT for c in present))
+def _cond(count: Callable[..., int], target: str, given: str) -> Fraction:
+    given_count = count(given)
+    if given_count == 0:
+        raise ZeroConditioningError(f"conditioning event {given!r} has measure zero")
+    return Fraction(count(target, given), given_count)
 
 
 def cond_prob(table: EventTable, target: str, given: str,
               strategy: MissingStrategy = MissingStrategy.EXCLUDE_UNKNOWN) -> Fraction:
     """Pr(target | given) as mu(target and given) / mu(given)."""
-    if strategy is MissingStrategy.EXCLUDE_UNKNOWN:
-        table = restrict_known(table, (target, given))
-    t, g = table.column(target), table.column(given)
-    given_count = _count(table, (g,))
-    if given_count == 0:
-        raise ZeroConditioningError(f"conditioning event {given!r} has measure zero")
-    joint = _count(table, (t, g)) if t != g else given_count
-    return Fraction(joint, given_count)
+    return _cond(_measure(table, (target, given), strategy), target, given)
 
 
 def estimate_triple(table: EventTable, a: str, b: str, c: str,
@@ -76,15 +79,10 @@ def estimate_triple(table: EventTable, a: str, b: str, c: str,
     all three observables are known.  The marginal field is set when the
     three marginal frequencies agree.
     """
-    if strategy is MissingStrategy.EXCLUDE_UNKNOWN:
-        table = restrict_known(table, (a, b, c))
-        strategy = MissingStrategy.UNKNOWN_AS_ABSENT
-    p = cond_prob(table, b, a, strategy)
-    q = cond_prob(table, c, b, strategy)
-    r = cond_prob(table, c, a, strategy)
-    total = table.total
-    marginals = {
-        Fraction(_count(table, (table.column(name),)), total) for name in (a, b, c)}
+    count = _measure(table, (a, b, c), strategy)
+    p, q, r = _cond(count, b, a), _cond(count, c, b), _cond(count, c, a)
+    total = count()
+    marginals = {Fraction(count(name), total) for name in (a, b, c)}
     marginal = marginals.pop() if len(marginals) == 1 else None
     return CondTriple(p, q, r, marginal=marginal)
 
@@ -148,30 +146,18 @@ class Corpus:
 def parse_corpus(documents_text: str, qrels_text: str) -> Corpus:
     """Documents file: one line per document, id then terms.  Qrels file:
     one (query id, relevant document id) pair per line."""
-    documents = []
-    for ln in documents_text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
-        parts = ln.split()
-        documents.append((parts[0], frozenset(parts[1:])))
+    documents = tuple((parts[0], frozenset(parts[1:]))
+                      for parts in map(str.split, data_lines(documents_text)))
     qrels: dict[str, set[str]] = {}
-    order: list[str] = []
-    for ln in qrels_text.splitlines():
-        ln = ln.strip()
-        if not ln or ln.startswith("#"):
-            continue
+    for ln in data_lines(qrels_text):
         parts = ln.split()
         if len(parts) != 2:
             raise FormatError(f"bad qrels line: {ln!r}")
         query_id, doc_id = parts
-        if query_id not in qrels:
-            qrels[query_id] = set()
-            order.append(query_id)
-        qrels[query_id].add(doc_id)
-    queries = tuple((qid, frozenset(qrels[qid])) for qid in order)
+        qrels.setdefault(query_id, set()).add(doc_id)
+    queries = tuple((qid, frozenset(docs)) for qid, docs in qrels.items())
     try:
-        return Corpus(tuple(documents), queries)
+        return Corpus(documents, queries)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -1,4 +1,5 @@
 import os
+import time
 from fractions import Fraction
 from importlib import resources
 
@@ -55,6 +56,15 @@ class TestCheck:
         code, _, err = run(capsys, "check", "2", "5", "7")
         assert code == 2
         assert "out of range" in err
+
+    @pytest.mark.parametrize("literal", ["1e-3", "1e-30000000"])
+    def test_exponent_literal_exits_2_at_once(self, capsys, literal):
+        # Fraction would spend about a minute expanding 1e-30000000
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", literal, "1/2", "1/2")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == f"error: not a rational literal: '{literal}'\n"
 
     def test_float_flag(self, capsys):
         _, out, _ = run(capsys, "--float", "check", "1/2", "1/2", "1/2")
@@ -182,6 +192,13 @@ class TestVector:
         bad.write_text("nonsense\n")
         code, _, _ = run(capsys, "vector", str(bad), "membership")
         assert code == 2
+
+    def test_exponent_entry_exits_2(self, tmp_path, capsys):
+        vec = tmp_path / "exp.vec"
+        vec.write_text("n=2\np1=1e-3\np2=1/2\np1,2=0\n")
+        code, out, err = run(capsys, "vector", str(vec), "membership")
+        assert (code, out) == (2, "")
+        assert err == "error: not a rational literal: '1e-3'\n"
 
     @pytest.mark.parametrize("x, y, message", [
         ([Fraction(1), 0, 0, 0], None, "certificate fails to reproduce p1"),

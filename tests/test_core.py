@@ -60,6 +60,11 @@ class TestRationalParsing:
         with pytest.raises(FormatError):
             core.parse_prob("7/5")
 
+    @pytest.mark.parametrize("text", ["2E0", "0.5e1"])
+    def test_exponent_refused(self, text):
+        with pytest.raises(FormatError, match=f"not a rational literal: '{text}'"):
+            core.parse_rational(text)
+
 
 class TestEventTable:
     def test_fig1_shape(self):
@@ -103,6 +108,27 @@ class TestEventTable:
     def test_roundtrip_random(self, rows):
         table = EventTable(("A", "B", "C"), tuple(rows))
         assert parse_event_table(serialize_event_table(table)) == table
+
+    @given(st.lists(
+        st.tuples(st.tuples(*[st.sampled_from(list(Ternary))] * 3),
+                  st.integers(1, 9)),
+        min_size=1, max_size=12), st.data())
+    def test_roundtrip_random_with_comments_and_spacing(self, rows, data):
+        table = EventTable(("A", "B", "C"), tuple(rows))
+        noise = st.sampled_from(["", "   ", "# note", "  # 1,0,? x2"])
+        sep = st.sampled_from([",", " , ", ", ", "\t,"])
+        header, *lines = serialize_event_table(table).splitlines()
+        noisy = data.draw(st.lists(noise, max_size=2))
+        noisy.append(" " + data.draw(sep).join(header.split(",")))
+        for ln in lines:
+            noisy += data.draw(st.lists(noise, max_size=2))
+            cells, _, count = ln.partition(" x")
+            if count or data.draw(st.booleans()):
+                suffix = data.draw(st.sampled_from([" x", ",x", " , x", "\tx"]))
+                count = suffix + (count or "1")
+            noisy.append("  " + data.draw(sep).join(cells.split(",")) + count + " ")
+        noisy += data.draw(st.lists(noise, max_size=2))
+        assert parse_event_table("\n".join(noisy)) == table
 
 
 class TestCondTriple:

@@ -118,6 +118,18 @@ class TestEstimateTriple:
         assert t.marginal is None
         assert t.q == F(5, 6)
 
+    def test_unknown_reads_as_absent(self, fig3):
+        # the two rows with A unknown stay in the universe but not in A
+        t = estimate_triple(fig3, "A", "B", "C", MissingStrategy.UNKNOWN_AS_ABSENT)
+        assert (t.p, t.q, t.r) == (F(2, 5), F(5, 6), F(1, 5))
+        assert cond_prob(fig3, "A", "B", MissingStrategy.UNKNOWN_AS_ABSENT) == F(1, 3)
+        assert cond_prob(fig3, "A", "B", MissingStrategy.EXCLUDE_UNKNOWN) == F(2, 5)
+
+    def test_exclude_unknown_keeps_rows_known_in_the_queried_names(self):
+        table = parse_event_table("A,B,C\n1,1,?\n1,0,1\n0,1,1\n")
+        assert cond_prob(table, "B", "A") == F(1, 2)
+        assert estimate_triple(table, "A", "B", "C").p == 0
+
     def test_strategies_agree_on_complete_table(self, fig1):
         assert (estimate_triple(fig1, "A", "B", "C", MissingStrategy.EXCLUDE_UNKNOWN)
                 == estimate_triple(fig1, "A", "B", "C", MissingStrategy.UNKNOWN_AS_ABSENT))
@@ -215,6 +227,16 @@ class TestSurveyCorpus:
     def test_parse(self, corpus):
         assert corpus.N == 16
         assert dict(corpus.queries)["q1"] == frozenset({"d01", "d02"})
+
+    def test_comments_and_blank_lines_are_skipped(self, corpus):
+        def noisy(text):
+            return "# header\n\n" + "".join(
+                f"  {ln}\n\n   # after {ln}\n" for ln in text.splitlines())
+        docs, qrels = fixture("toy_docs.txt"), fixture("toy_qrels.txt")
+        assert parse_corpus(noisy(docs), noisy(qrels)) == corpus
+        assert (parse_corpus("d1 t1\nd2 t2\n", "q1 d1\nq2 d2\nq1 d2\n")
+                == parse_corpus("# docs\n\nd1 t1\n  # d2\n d2 t2\n",
+                                "\n# q1\nq1 d1\n\n#q2 d1\nq2 d2\n  q1 d2\n"))
 
     def test_unknown_relevant_doc_rejected(self):
         with pytest.raises(ValueError):

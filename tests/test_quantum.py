@@ -87,10 +87,10 @@ class TestRealize:
 
     @given(st.fractions(0, 1), st.fractions(0, 1))
     def test_forced_r_when_degenerate(self, p, q):
-        # p in {0, 1}: the complex interval collapses to a point
-        for pp in (F(0), F(1)):
-            t_r = pp * q + (1 - pp) * (1 - q)
-            real = realize(CondTriple(pp, q, t_r))
+        # p or q in {0, 1}: the complex interval collapses to a point
+        for pp, qq in ((F(0), q), (F(1), q), (p, F(0)), (p, F(1))):
+            t_r = pp * qq + (1 - pp) * (1 - qq)
+            real = realize(CondTriple(pp, qq, t_r))
             assert real.phase == 0.0
 
     @given(st.fractions(0, 1, max_denominator=10 ** 6), st.booleans())
