@@ -3,7 +3,8 @@
 The classical test is a pair of exact rational inequalities.  The quantum
 tests involve square roots, but the interval they define is centered at
 pq + (1-p)(1-q) with radius 2*sqrt(pq(1-p)(1-q)), so membership reduces to
-(r - center)^2 <= 4*pq(1-p)(1-q), decidable exactly over rationals.
+(r - center)^2 <= 4*pq(1-p)(1-q), decidable exactly over rationals.  Both
+tests are evaluated once, in integers over the triple's common denominator.
 """
 
 from __future__ import annotations
@@ -22,21 +23,41 @@ class IncoherentInputsError(ValueError):
     """Inputs cannot be probabilities of a single space (Bayes quotient > 1)."""
 
 
+def _scaled(t: CondTriple) -> tuple[int, int, int, int, int, int, int]:
+    """Both theories' quantities in integers.  With p, q, r = a/d, b/d, c/d
+    over their least common denominator d, returns (c, d, lo, hi, center,
+    radius_sq, gap) where the classical interval is [lo/d, hi/d], center is
+    over d^2, and radius_sq and gap are over d^4:
+
+        lo = |a + b - d|,  hi = d - |a - b|,
+        center = ab + (d - a)(d - b),  radius_sq = 4ab(d - a)(d - b),
+        gap = (cd - center)^2 - radius_sq.
+
+    The complex-QS interval is [center - 2*sqrt(su), center + 2*sqrt(su)]
+    for s = pq and u = (1-p)(1-q), so radius_sq = 4su, and the gap is <= 0
+    iff complex-QS and == 0 iff real-QS."""
+    (a, da), (b, db), (c, dc) = (x.as_integer_ratio() for x in (t.p, t.q, t.r))
+    d = math.lcm(da, db, dc)
+    a, b, c = a * (d // da), b * (d // db), c * (d // dc)
+    s, u = a * b, (d - a) * (d - b)
+    center = s + u
+    radius_sq = 4 * s * u
+    return (c, d, abs(a + b - d), d - abs(a - b), center, radius_sq,
+            (c * d - center) ** 2 - radius_sq)
+
+
 def classical_bounds(t: CondTriple) -> tuple[Fraction, Fraction]:
     """The exact interval r must lie in for a single classical event space."""
-    return abs(t.p + t.q - 1), 1 - abs(t.p - t.q)
+    _, d, lo, hi, *_ = _scaled(t)
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def quantum_interval(t: CondTriple) -> tuple[Fraction, Fraction, Fraction]:
-    """(center, radius_sq, gap) of the complex-QS interval
-    [center - 2*sqrt(su), center + 2*sqrt(su)], s = pq, u = (1-p)(1-q):
-    radius_sq = 4su, and gap = (r - center)^2 - radius_sq is <= 0 iff
-    complex-QS and == 0 iff real-QS."""
-    s = t.p * t.q
-    u = (1 - t.p) * (1 - t.q)
-    center = s + u
-    radius_sq = 4 * s * u
-    return center, radius_sq, (t.r - center) ** 2 - radius_sq
+    """(center, radius_sq, gap) of the complex-QS interval, exactly: see
+    ``_scaled``."""
+    _, d, _, _, center, radius_sq, gap = _scaled(t)
+    d2 = d * d
+    return Fraction(center, d2), Fraction(radius_sq, d2 * d2), Fraction(gap, d2 * d2)
 
 
 def check_classical(t: CondTriple) -> bool:
@@ -48,17 +69,19 @@ def check_classical(t: CondTriple) -> bool:
     says whether the premise was verified, and ``pitowsky.membership`` on
     the full unary-and-pairwise vector decides the space without it.
     """
-    lo, hi = classical_bounds(t)
-    return lo <= t.r <= hi
+    c, _, lo, hi, *_ = _scaled(t)
+    return lo <= c <= hi
 
 
 def check_complex_qs(t: CondTriple) -> bool:
-    return quantum_interval(t)[2] <= 0
+    *_, gap = _scaled(t)
+    return gap <= 0
 
 
 def check_real_qs(t: CondTriple) -> bool:
     """True iff r sits exactly on an endpoint of the complex-QS interval."""
-    return quantum_interval(t)[2] == 0
+    *_, gap = _scaled(t)
+    return gap == 0
 
 
 def classify(t: CondTriple) -> AdmissibilityVerdict:
@@ -68,21 +91,21 @@ def classify(t: CondTriple) -> AdmissibilityVerdict:
     is absent or differs, the verdict is still computed but flagged with
     symmetry_checked = False.
     """
-    bounds = classical_bounds(t)
-    classical = bounds[0] <= t.r <= bounds[1]
-    center, radius_sq, gap = quantum_interval(t)
-    real_qs = gap == 0
-    boundary = (classical and t.r in bounds) or real_qs
-    # float rendering of the complex-QS interval (display only)
-    radius = math.sqrt(radius_sq)
+    c, d, lo, hi, center, radius_sq, gap = _scaled(t)
+    classical = lo <= c <= hi
+    # float rendering of the complex-QS interval (display only); int / int
+    # is correctly rounded, so these equal the floats of the exact Fractions
+    d2 = d * d
+    mid = center / d2
+    radius = math.sqrt(radius_sq / (d2 * d2))
     return AdmissibilityVerdict(
         classical=classical,
-        real_qs=real_qs,
+        real_qs=gap == 0,
         complex_qs=gap <= 0,
-        classical_bounds=bounds,
-        complex_bounds=(float(center) - radius, float(center) + radius),
+        classical_bounds=(Fraction(lo, d), Fraction(hi, d)),
+        complex_bounds=(mid - radius, mid + radius),
         symmetry_checked=t.marginal == HALF,
-        boundary=boundary,
+        boundary=(classical and c in (lo, hi)) or gap == 0,
     )
 
 

@@ -215,10 +215,12 @@ def cmd_survey(args) -> tuple[int, Report]:
     for idx, row in enumerate(rows, 1):
         v = row.verdict
         flags = "".join("YN"[not b] for b in (v.classical, v.real_qs, v.complex_qs))
+        p, q, r = (_render_value(x, report.float_output)
+                   for x in (row.triple.p, row.triple.q, row.triple.r))
         report.add(
             f"row.{idx}",
             f"query={row.query_id} terms={row.term_b},{row.term_c} "
-            f"p={row.triple.p} q={row.triple.q} r={row.triple.r} verdict={flags}")
+            f"p={p} q={q} r={r} verdict={flags}")
     return EXIT_OK, report
 
 

@@ -46,14 +46,28 @@ def as_prob(value: Fraction | int) -> Fraction:
     return value
 
 
+# an optional sign, then a/b or a plain decimal (5, 0.25, .25 or 5.), in
+# ASCII digits only; anything else, exponents included, is not a literal
+_RATIONAL = re.compile(
+    r"([+-]?)(?:([0-9]+)/([0-9]+)|(?=\.?[0-9])([0-9]*)(?:\.([0-9]*))?)")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse ``a/b`` or a plain decimal, read exactly as a/10^k.  An exponent
-    is refused: ``Fraction`` would expand 1e-30000000 into 30 million digits."""
-    if "e" not in text.lower():
+    """Parse ``a/b`` or a plain decimal, read exactly as a/10^k, by the
+    grammar of ``_RATIONAL``.  An exponent is refused: ``Fraction`` would
+    expand 1e-30000000 into 30 million digits."""
+    m = _RATIONAL.fullmatch(text.strip())
+    if m is not None:
+        sign, num, den, whole, frac = m.groups()
+        frac = frac or ""
         try:
-            return Fraction(text.strip())
+            value = (Fraction(int(num), int(den)) if num is not None
+                     else Fraction(int(whole + frac), 10 ** len(frac)))
+        # a zero denominator, or more digits than int() converts
         except (ValueError, ZeroDivisionError):
             pass
+        else:
+            return -value if sign == "-" else value
     raise FormatError(f"not a rational literal: {text!r}")
 
 

@@ -20,8 +20,11 @@ from . import admissibility
 from .core import (AdmissibilityVerdict, CapExceededError, CondTriple,
                    EventTable, FormatError, Ternary, as_prob, data_lines)
 
-# bound on survey rows, counted as Σ C(k, 2) over queries before any work:
-# each row takes about 90 µs on one x86_64 core, so 10^6 rows is 1.5 minutes
+# bound on survey rows, counted as Σ C(k, 2) over queries before any work.
+# On one x86_64 core the whole `survey` command takes about 8 µs per row plus
+# about 17 µs per distinct count triple it classifies (measured on perfbench's
+# corpora and on a 10^5-row corpus), so 10^6 rows take from about 8 s, when
+# the triples repeat, to about 25 s, when every row's triple is distinct
 MAX_SURVEY_ROWS = 10**6
 
 
@@ -174,8 +177,9 @@ class SurveyRow:
 def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
     """For each query, pair up the terms whose occurrence probability equals
     the probability of relevance exactly, estimate (p, q, r) by relative
-    frequency, and classify the triple.  A corpus that would give more than
-    MAX_SURVEY_ROWS rows raises CapExceededError before any triple is built."""
+    frequency, and classify each distinct triple once.  A corpus that would
+    give more than MAX_SURVEY_ROWS rows raises CapExceededError before any
+    triple is built."""
     if corpus.N == 0:
         raise ValueError("empty corpus")
     postings: dict[str, set[str]] = {}
@@ -192,17 +196,21 @@ def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
         if not relevant:
             continue
         n_rel = len(relevant)
+        marginal = Fraction(n_rel, corpus.N)
         selected = sorted(t for t, docs in postings.items() if len(docs) == n_rel)
-        for b_idx in range(len(selected)):
+        hits = [len(postings[term] & relevant) for term in selected]
+        # every selected term, and so the conditioning term of q, occurs in
+        # n_rel documents: a row's triple is its three counts over n_rel,
+        # and rows with equal counts share one triple and one verdict
+        classified: dict[tuple[int, int, int], tuple[CondTriple, AdmissibilityVerdict]] = {}
+        for b_idx, term_b in enumerate(selected):
+            docs_b = postings[term_b]
             for c_idx in range(b_idx + 1, len(selected)):
-                term_b, term_c = selected[b_idx], selected[c_idx]
-                docs_b, docs_c = postings[term_b], postings[term_c]
-                triple = CondTriple(
-                    p=Fraction(len(docs_b & relevant), n_rel),
-                    q=Fraction(len(docs_b & docs_c), len(docs_c)),
-                    r=Fraction(len(docs_c & relevant), n_rel),
-                    marginal=Fraction(n_rel, corpus.N),
-                )
-                rows.append(SurveyRow(query_id, term_b, term_c, triple,
-                                      admissibility.classify(triple)))
+                term_c = selected[c_idx]
+                key = (hits[b_idx], len(docs_b & postings[term_c]), hits[c_idx])
+                if key not in classified:
+                    triple = CondTriple(*(Fraction(k, n_rel) for k in key),
+                                        marginal=marginal)
+                    classified[key] = (triple, admissibility.classify(triple))
+                rows.append(SurveyRow(query_id, term_b, term_c, *classified[key]))
     return rows

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -7,11 +8,16 @@ from hypothesis import strategies as st
 from evspace.admissibility import (IncoherentInputsError, bayes_invert,
                                    check_classical, check_complex_qs,
                                    check_real_qs, classify, classical_bounds,
-                                   ltp_compose, statistical_invariant)
+                                   ltp_compose, quantum_interval,
+                                   statistical_invariant)
 from evspace.core import CondTriple
 
 probs = st.fractions(0, 1)
 triples = st.builds(CondTriple, probs, probs, probs)
+# the edges 0 and 1, small denominators that often coincide, and arbitrary ones
+edge_probs = st.one_of(st.sampled_from([F(0), F(1)]),
+                       st.fractions(0, 1, max_denominator=8), probs)
+edge_triples = st.builds(CondTriple, edge_probs, edge_probs, edge_probs)
 
 
 class TestCheckClassical:
@@ -89,6 +95,24 @@ class TestClassify:
     @given(triples)
     def test_pure_function(self, t):
         assert classify(t) == classify(t)
+
+    @given(edge_triples)
+    def test_agrees_with_the_paper_conditions(self, t):
+        # both conditions written out in Fractions, independently of the
+        # integer form classify evaluates
+        p, q, r = t.p, t.q, t.r
+        lo, hi = abs(p + q - 1), 1 - abs(p - q)
+        center = p * q + (1 - p) * (1 - q)
+        radius_sq = 4 * p * q * (1 - p) * (1 - q)
+        gap = (r - center) ** 2 - radius_sq
+        classical = lo <= r <= hi
+        v = classify(t)
+        assert (v.classical, v.real_qs, v.complex_qs) == (classical, gap == 0, gap <= 0)
+        assert v.classical_bounds == classical_bounds(t) == (lo, hi)
+        assert v.boundary == ((classical and r in (lo, hi)) or gap == 0)
+        radius = math.sqrt(float(radius_sq))
+        assert v.complex_bounds == (float(center) - radius, float(center) + radius)
+        assert quantum_interval(t) == (center, radius_sq, gap)
 
     @given(triples)
     def test_bounds_ordering_when_classical(self, t):

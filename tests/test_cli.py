@@ -66,6 +66,13 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"error: not a rational literal: '{literal}'\n"
 
+    @pytest.mark.parametrize("literal", ["1_0/2_0", "\u0663/\u0664", "\uff11/\uff12"])
+    def test_literal_outside_grammar_exits_2(self, capsys, literal):
+        # digit-group underscores, Arabic-Indic and fullwidth digits
+        code, out, err = run(capsys, "check", literal, "1/2", "1/2")
+        assert (code, out) == (2, "")
+        assert err == f"error: not a rational literal: {literal!r}\n"
+
     def test_float_flag(self, capsys):
         _, out, _ = run(capsys, "--float", "check", "1/2", "1/2", "1/2")
         assert report_dict(out)["p"] == "0.5"
@@ -334,6 +341,16 @@ class TestRealizeSurvey:
         assert fields["documents"] == "16"
         assert any("verdict=YYY" in v for v in fields.values())
         assert any("verdict=NYY" in v for v in fields.values())
+
+    def test_float_survey(self, capsys):
+        code, out, _ = run(capsys, "--float", "survey", fixture_path("toy_docs.txt"),
+                           fixture_path("toy_qrels.txt"))
+        assert code == 0
+        assert out == (
+            "documents: 16\n"
+            "rows: 2\n"
+            "row.1: query=q1 terms=t1,t2 p=1.0 q=1.0 r=1.0 verdict=YYY\n"
+            "row.2: query=q2 terms=u1,u2 p=0.25 q=0.25 r=0.25 verdict=NYY\n")
 
     def test_survey_row_bound_exits_3(self, capsys, monkeypatch):
         _, out, _ = run(capsys, "survey", fixture_path("toy_docs.txt"),

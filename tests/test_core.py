@@ -47,22 +47,37 @@ class TestProb:
 class TestRationalParsing:
     def test_fraction_literal(self):
         assert core.parse_rational("3/5") == F(3, 5)
+        assert core.parse_rational(" 007/014 ") == F(1, 2)
+        assert core.parse_rational("+1/2") == F(1, 2)
 
     def test_decimal_is_exact(self):
         assert core.parse_prob("0.25") == F(1, 4)
         assert core.parse_prob("0.1") == F(1, 10)
+        assert core.parse_prob(".5") == F(1, 2)
+        assert core.parse_prob("1.") == core.parse_prob("1") == F(1)
+        assert core.parse_rational("-0.5") == F(-1, 2)
 
     def test_garbage(self):
         with pytest.raises(FormatError):
             core.parse_rational("one half")
 
     def test_range_check(self):
-        with pytest.raises(FormatError):
-            core.parse_prob("7/5")
+        for text in ("7/5", "2", "-1/2"):
+            with pytest.raises(FormatError, match="probability out of range"):
+                core.parse_prob(text)
 
-    @pytest.mark.parametrize("text", ["2E0", "0.5e1"])
+    @pytest.mark.parametrize("text", ["2E0", "0.5e1", "1e-3", "1/2e1"])
     def test_exponent_refused(self, text):
         with pytest.raises(FormatError, match=f"not a rational literal: '{text}'"):
+            core.parse_rational(text)
+
+    @pytest.mark.parametrize("text", [
+        "1_0/2_0", "0.2_5", "1_000",  # digit-group underscores
+        "\u0663/\u0664", "\u0661", "\uff11/\uff12", "\u00bd",  # non-ASCII digits
+        "1/0", "1 / 2", "1/2/3", "1.2.3", ".", "+", "", "0x1", "inf", "nan",
+    ])
+    def test_grammar_refuses(self, text):
+        with pytest.raises(FormatError, match="not a rational literal"):
             core.parse_rational(text)
 
 

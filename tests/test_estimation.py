@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evspace.admissibility import check_classical
+from evspace.admissibility import check_classical, classify
 from evspace.core import CondTriple, Ternary, parse_event_table
 from evspace.estimation import (Corpus, MissingStrategy, ZeroConditioningError,
                                 broker_mix, cond_prob, estimate_triple,
@@ -269,3 +269,37 @@ class TestSurveyCorpus:
             assert (row.triple.r * n_rel[row.query_id]).denominator == 1
             assert (row.triple.q * n_rel[row.query_id]).denominator == 1
             assert (row.triple.marginal * corpus.N).denominator == 1
+
+    @given(st.data())
+    def test_rows_are_recounted_triples(self, data):
+        # random small corpora: every row's triple is its counts over the
+        # relevant-set size, and its verdict is classify of that triple
+        n_docs = data.draw(st.integers(1, 8))
+        docs = [f"d{k}" for k in range(n_docs)]
+        term_sets = st.frozensets(st.sampled_from(["a", "b", "c", "d", "e"]))
+        documents = tuple((doc, data.draw(term_sets)) for doc in docs)
+        queries = tuple((f"q{k}", data.draw(st.frozensets(st.sampled_from(docs))))
+                        for k in range(data.draw(st.integers(1, 3))))
+        corpus = Corpus(documents, queries)
+        holders = {}
+        for doc, terms in documents:
+            for term in terms:
+                holders.setdefault(term, set()).add(doc)
+        rows = survey_corpus(corpus)
+        expected_pairs = []
+        for query_id, relevant in queries:
+            n_rel = len(relevant)
+            chosen = sorted(t for t, ds in holders.items() if len(ds) == n_rel and n_rel)
+            expected_pairs += [(query_id, b, c) for k, b in enumerate(chosen)
+                               for c in chosen[k + 1:]]
+        assert [(r.query_id, r.term_b, r.term_c) for r in rows] == expected_pairs
+        relevant_of = dict(queries)
+        for row in rows:
+            relevant = relevant_of[row.query_id]
+            n_rel = len(relevant)
+            docs_b, docs_c = holders[row.term_b], holders[row.term_c]
+            assert row.triple == CondTriple(F(len(docs_b & relevant), n_rel),
+                                            F(len(docs_b & docs_c), len(docs_c)),
+                                            F(len(docs_c & relevant), n_rel),
+                                            marginal=F(n_rel, n_docs))
+            assert row.verdict == classify(row.triple)
