@@ -2,13 +2,11 @@
 admit a single classical event space, a real quantum-probability space, or a
 complex one, with certificates for either outcome."""
 
-from .core import (AdmissibilityVerdict, CondTriple, CorrelationVector,
-                   EventTable, FormatError, Ternary, parse_correlation_vector,
-                   parse_event_table, prob, serialize_correlation_vector,
-                   serialize_event_table)
-from .admissibility import (InvariantReport, bayes_invert, check_classical,
-                            check_complex_qs, check_real_qs, classify,
-                            ltp_compose, statistical_invariant)
+from .core import (CondTriple, CorrelationVector, EventTable, FormatError,
+                   Ternary, parse_correlation_vector, parse_event_table,
+                   serialize_correlation_vector, serialize_event_table)
+from .admissibility import (AdmissibilityVerdict, InvariantReport, bayes_invert,
+                            classify, ltp_compose, statistical_invariant)
 from .estimation import (Corpus, MissingStrategy, broker_mix, cond_prob,
                          estimate_triple, parse_corpus, smooth_triple,
                          survey_corpus)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .core import AdmissibilityVerdict, CondTriple, ZERO, as_prob
+from .core import CondTriple, ZERO, as_prob
 
 HALF = Fraction(1, 2)
 
@@ -46,12 +46,6 @@ def _scaled(t: CondTriple) -> tuple[int, int, int, int, int, int, int]:
             (c * d - center) ** 2 - radius_sq)
 
 
-def classical_bounds(t: CondTriple) -> tuple[Fraction, Fraction]:
-    """The exact interval r must lie in for a single classical event space."""
-    _, d, lo, hi, *_ = _scaled(t)
-    return Fraction(lo, d), Fraction(hi, d)
-
-
 def quantum_interval(t: CondTriple) -> tuple[Fraction, Fraction, Fraction]:
     """(center, radius_sq, gap) of the complex-QS interval, exactly: see
     ``_scaled``."""
@@ -60,39 +54,48 @@ def quantum_interval(t: CondTriple) -> tuple[Fraction, Fraction, Fraction]:
     return Fraction(center, d2), Fraction(radius_sq, d2 * d2), Fraction(gap, d2 * d2)
 
 
-def check_classical(t: CondTriple) -> bool:
-    """True iff |p + q - 1| <= r <= 1 - |p - q|.
+@dataclass(frozen=True)
+class AdmissibilityVerdict:
+    """Per-theory admissibility flags with the deciding bounds.
 
-    The inequality decides a single classical event space only for triples
-    whose three observables share the marginal 1/2.  Without that premise
-    the answer is arithmetic, not a verdict: ``classify(t).symmetry_checked``
-    says whether the premise was verified, and ``pitowsky.membership`` on
-    the full unary-and-pairwise vector decides the space without it.
+    ``classical_bounds`` is the exact interval |p+q-1| .. 1-|p-q|;
+    ``real_qs`` holds iff r sits exactly on an endpoint of the complex-QS
+    interval; ``complex_bounds`` is that (generally irrational) interval,
+    reported as floats for display only -- every flag is decided exactly by
+    ``classify``.
     """
-    c, _, lo, hi, *_ = _scaled(t)
-    return lo <= c <= hi
 
+    classical: bool
+    real_qs: bool
+    complex_qs: bool
+    classical_bounds: tuple[Fraction, Fraction]
+    complex_bounds: tuple[float, float]
+    symmetry_checked: bool
+    boundary: bool
 
-def check_complex_qs(t: CondTriple) -> bool:
-    *_, gap = _scaled(t)
-    return gap <= 0
-
-
-def check_real_qs(t: CondTriple) -> bool:
-    """True iff r sits exactly on an endpoint of the complex-QS interval."""
-    *_, gap = _scaled(t)
-    return gap == 0
+    def __post_init__(self) -> None:
+        if self.classical and not self.complex_qs:
+            raise ValueError("classical admissibility must imply complex admissibility")
+        if self.real_qs and not self.complex_qs:
+            raise ValueError("real admissibility must imply complex admissibility")
+        if self.classical and self.classical_bounds[0] > self.classical_bounds[1]:
+            raise ValueError("classical verdict with empty classical interval")
 
 
 def classify(t: CondTriple) -> AdmissibilityVerdict:
     """Full verdict: all three theories, deciding bounds, boundary flag.
+    This is the one place a triple's verdict is decided.
 
-    The tests presuppose equal marginals of 1/2; when the triple's marginal
-    is absent or differs, the verdict is still computed but flagged with
-    symmetry_checked = False.
+    The classical test |p + q - 1| <= r <= 1 - |p - q| decides a single
+    classical event space only for triples whose three observables share
+    the marginal 1/2.  Without that premise the answer is arithmetic, not a
+    verdict: it is still computed, but flagged with symmetry_checked =
+    False, and ``pitowsky.membership`` on the full unary-and-pairwise
+    vector decides the space without it.
     """
     c, d, lo, hi, center, radius_sq, gap = _scaled(t)
     classical = lo <= c <= hi
+    real_qs = gap == 0
     # float rendering of the complex-QS interval (display only); int / int
     # is correctly rounded, so these equal the floats of the exact Fractions
     d2 = d * d
@@ -100,12 +103,12 @@ def classify(t: CondTriple) -> AdmissibilityVerdict:
     radius = math.sqrt(radius_sq / (d2 * d2))
     return AdmissibilityVerdict(
         classical=classical,
-        real_qs=gap == 0,
+        real_qs=real_qs,
         complex_qs=gap <= 0,
         classical_bounds=(Fraction(lo, d), Fraction(hi, d)),
         complex_bounds=(mid - radius, mid + radius),
         symmetry_checked=t.marginal == HALF,
-        boundary=(classical and c in (lo, hi)) or gap == 0,
+        boundary=(classical and c in (lo, hi)) or real_qs,
     )
 
 

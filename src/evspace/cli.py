@@ -244,7 +244,7 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
         table = parse_event_table(_fixture("fig1.tbl"))
         t = estimation.estimate_triple(table, "A", "B", "C")
         assert (t.p, t.q, t.r) == (F(2, 5), F(4, 5), F(1, 5)), t
-        assert admissibility.check_classical(t)
+        assert admissibility.classify(t).classical
 
     def fig3_parse():
         table = parse_event_table(_fixture("fig3.tbl"))
@@ -264,15 +264,15 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
 
     def fig3_pinned_second_triple():
         t = CondTriple(F(2, 5), F(5, 6), F(1, 6))
-        assert not admissibility.check_classical(t)
+        assert not admissibility.classify(t).classical
 
     def smoothing_pathology():
         base = CondTriple(F(3, 4), F(1, 4), F(9, 15))
         background = CondTriple(F(1, 2), F(1, 2), F(1, 2))
         out = estimation.smooth_triple(base, background, (F(1, 9), F(1, 9), F(2, 17)))
         assert (out.p, out.q, out.r) == (F(13, 18), F(5, 18), F(10, 17)), out
-        assert not admissibility.check_classical(out)
-        assert admissibility.check_complex_qs(out)
+        verdict = admissibility.classify(out)
+        assert not verdict.classical and verdict.complex_qs
 
     def broker_pathology():
         for name, expected in (("s1.tbl", (F(2, 5), F(1, 5), F(2, 5))),
@@ -285,7 +285,7 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
              CondTriple(F(2, 5), F(1, 5), F(1, 5))],
             [F(1, 2), F(1, 2)])
         assert (mixed.p, mixed.q, mixed.r) == (F(4, 10), F(2, 10), F(3, 10))
-        assert not admissibility.check_classical(mixed)
+        assert not admissibility.classify(mixed).classical
 
     def survey_table():
         # table columns (Pr(B|C), Pr(B|A), Pr(C|A)) map onto (q, p, r)
@@ -302,8 +302,8 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
 
     def neither_space():
         t = CondTriple(F(1, 10), F(2, 10), F(3, 10))
-        assert not admissibility.check_classical(t)
-        assert not admissibility.check_complex_qs(t)
+        verdict = admissibility.classify(t)
+        assert not verdict.classical and not verdict.complex_qs
 
     def symmetric_half():
         t = CondTriple(F(1, 2), F(1, 2), F(1, 2), marginal=F(1, 2))
@@ -454,10 +454,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.fn(args)
-    except (FormatError, ValueError, OSError) as exc:
-        if isinstance(exc, CapExceededError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAP
+    except CapExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except RuntimeError as exc:

@@ -30,18 +30,24 @@ class CapExceededError(ValueError):
 # Exact probabilities
 # ---------------------------------------------------------------------------
 
-def prob(num: int, den: int) -> Fraction:
-    """Reduced rational probability from an integer numerator/denominator pair."""
-    if den <= 0:
-        raise ValueError(f"denominator must be positive, got {den}")
-    if num < 0 or num > den:
-        raise ValueError(f"{num}/{den} is outside [0, 1]")
-    return Fraction(num, den)
+def _exact(value: Fraction | int) -> Fraction:
+    """``value`` as a Fraction, itself when it is one.  Only an int or a
+    Fraction is exact: a float, a str or a Decimal is a TypeError, since the
+    text formats are read by ``parse_prob``."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    raise TypeError(
+        f"probability must be an int or a Fraction, not {type(value).__name__}")
 
 
 def as_prob(value: Fraction | int) -> Fraction:
-    value = Fraction(value)
-    if value < 0 or value > 1:
+    """An int or a Fraction in [0, 1], as a Fraction: the one gate every
+    exact probability passes (see ``_exact`` for the types)."""
+    value = _exact(value)
+    # a Fraction's denominator is positive
+    if not 0 <= value.numerator <= value.denominator:
         raise ValueError(f"probability {value} is outside [0, 1]")
     return value
 
@@ -100,8 +106,8 @@ class CondTriple:
         for name in ("p", "q", "r"):
             object.__setattr__(self, name, as_prob(getattr(self, name)))
         if self.marginal is not None:
-            m = Fraction(self.marginal)
-            if not (0 < m <= 1):
+            m = _exact(self.marginal)
+            if not 0 < m.numerator <= m.denominator:
                 raise ValueError(f"marginal {m} is outside (0, 1]")
             object.__setattr__(self, "marginal", m)
 
@@ -196,37 +202,6 @@ class EventTable:
             return self.observables.index(name)
         except ValueError:
             raise ValueError(f"unknown observable {name!r}") from None
-
-
-# ---------------------------------------------------------------------------
-# Admissibility verdicts
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
-    """Per-theory admissibility flags with the deciding bounds.
-
-    ``classical_bounds`` is the exact interval |p+q-1| .. 1-|p-q|;
-    ``complex_bounds`` is the (generally irrational) interval of the
-    complex-space condition, reported as floats for display only -- all
-    decisions are made exactly elsewhere.
-    """
-
-    classical: bool
-    real_qs: bool
-    complex_qs: bool
-    classical_bounds: tuple[Fraction, Fraction]
-    complex_bounds: tuple[float, float]
-    symmetry_checked: bool
-    boundary: bool
-
-    def __post_init__(self) -> None:
-        if self.classical and not self.complex_qs:
-            raise ValueError("classical admissibility must imply complex admissibility")
-        if self.real_qs and not self.complex_qs:
-            raise ValueError("real admissibility must imply complex admissibility")
-        if self.classical and self.classical_bounds[0] > self.classical_bounds[1]:
-            raise ValueError("classical verdict with empty classical interval")
 
 
 # ---------------------------------------------------------------------------

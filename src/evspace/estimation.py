@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import admissibility
-from .core import (AdmissibilityVerdict, CapExceededError, CondTriple,
-                   EventTable, FormatError, Ternary, as_prob, data_lines)
+from .admissibility import AdmissibilityVerdict
+from .core import (CapExceededError, CondTriple, EventTable, FormatError,
+                   Ternary, as_prob, data_lines)
 
 # bound on survey rows, counted as Σ C(k, 2) over queries before any work.
 # On one x86_64 core the whole `survey` command takes about 8 µs per row plus

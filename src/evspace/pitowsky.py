@@ -239,7 +239,7 @@ def build_ranking_vector(doc_priors: Sequence[Fraction],
     pA = as_prob(pA)
     m = len(doc_priors)
     n = m + 1
-    unary = {i + 1: as_prob(doc_priors[i]) for i in range(m)}
+    unary = dict(enumerate(doc_priors, 1))
     unary[n] = pA
     pairwise = {(i + 1, n): as_prob(doc_likelihoods[i]) * pA for i in range(m)}
     return CorrelationVector(n, unary, pairwise)

@@ -7,8 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from evspace.admissibility import (check_classical, check_complex_qs,
-                                   check_real_qs, classify)
+from evspace.admissibility import classify
 from evspace.cli import main
 from evspace.core import CondTriple, CorrelationVector, Ternary
 from evspace.estimation import (MissingStrategy, ZeroConditioningError,
@@ -65,7 +64,7 @@ def test_criterion_2_smoothing():
                         CondTriple(F(1, 2), F(1, 2), F(1, 2)),
                         (F(1, 9), F(1, 9), F(2, 17)))
     assert (out.p, out.q, out.r) == (F(13, 18), F(5, 18), F(10, 17))
-    assert not check_classical(out)
+    assert not classify(out).classical
 
 
 def table_vector(table, names):
@@ -104,12 +103,12 @@ def test_criterion_3_broker():
     s1, s2 = triples
     mixed = broker_mix([s1, s2], [F(1, 2), F(1, 2)])
     assert (mixed.p, mixed.q, mixed.r) == (F(4, 10), F(2, 10), F(3, 10))
-    assert not check_classical(mixed)
-    assert check_classical(s1)
+    assert not classify(mixed).classical
+    assert classify(s1).classical
     # S2's marginals are (1/2, 1/2, 3/10), so the equal-marginals premise of
     # the inequality fails: |p+q-1| = 2/5 > r = 1/5 is arithmetic, not a
     # verdict on S2, whose single event space is the certificate above
-    assert not check_classical(s2)
+    assert not classify(s2).classical
     assert classify(s2).symmetry_checked is False
 
 
@@ -121,14 +120,15 @@ def test_criterion_4_missing_values():
     verdict = classify(t)
     assert verdict.classical and verdict.boundary
     pinned = CondTriple(F(2, 5), F(5, 6), F(1, 6))
-    assert not check_classical(pinned)
+    assert not classify(pinned).classical
 
 
 @criterion(5, "neither-space instance")
 def test_criterion_5_neither_space():
     t = CondTriple(F(1, 10), F(2, 10), F(3, 10))
-    assert not check_classical(t)
-    assert not check_complex_qs(t)
+    verdict = classify(t)
+    assert not verdict.classical
+    assert not verdict.complex_qs
 
 
 @criterion(6, "polytope oracle equivalence (1000+1000 randomized, exact)")
@@ -145,7 +145,7 @@ def test_criterion_6_oracle_equivalence():
                        marginal=half)
         v = complete_vector(3, [half] * 3, [t.p * half, t.r * half, t.q * half])
         cert = membership(v)
-        assert check_classical(t) == cert.feasible
+        assert classify(t).classical == cert.feasible
         _check_certificate(v, cert)
 
 
@@ -191,14 +191,14 @@ def test_criterion_9_quantum_roundtrip():
     checked = 0
     while checked < 1000:
         t = CondTriple(rand_prob(rng, 30), rand_prob(rng, 30), rand_prob(rng, 30))
-        if not check_complex_qs(t):
+        if not classify(t).complex_qs:
             continue
         checked += 1
         real = realize(t)
         assert abs(amplitude_prob(real.a, real.b) - float(t.p)) <= 1e-12
         assert abs(amplitude_prob(real.b, real.c) - float(t.q)) <= 1e-12
         assert abs(amplitude_prob(real.a, real.c) - float(t.r)) <= 1e-12
-        assert (real.field is Field.REAL) == check_real_qs(t)
+        assert (real.field is Field.REAL) == classify(t).real_qs
 
 
 @criterion(10, "decomposition of infeasible vectors (100 randomized, n<=6)")
@@ -233,7 +233,7 @@ def test_criterion_11_classical_soundness():
             continue
         done += 1
         assert t.marginal == F(1, 2)
-        assert check_classical(t), (table.rows, t)
+        assert classify(t).classical, (table.rows, t)
 
 
 @criterion(12, "reproduce exits 0 on a fresh checkout")

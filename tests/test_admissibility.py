@@ -6,9 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evspace.admissibility import (IncoherentInputsError, bayes_invert,
-                                   check_classical, check_complex_qs,
-                                   check_real_qs, classify, classical_bounds,
-                                   ltp_compose, quantum_interval,
+                                   classify, ltp_compose, quantum_interval,
                                    statistical_invariant)
 from evspace.core import CondTriple
 
@@ -29,7 +27,7 @@ class TestCheckClassical:
         (F(2, 5), F(4, 5), F(1, 5), True),  # boundary equality admits
     ])
     def test_examples(self, p, q, r, expected):
-        assert check_classical(CondTriple(p, q, r)) is expected
+        assert classify(CondTriple(p, q, r)).classical is expected
 
 
 class TestCheckComplexQS:
@@ -39,7 +37,7 @@ class TestCheckComplexQS:
         (F(1, 4), F(1, 4), F(1, 2), True),
     ])
     def test_examples(self, p, q, r, expected):
-        assert check_complex_qs(CondTriple(p, q, r)) is expected
+        assert classify(CondTriple(p, q, r)).complex_qs is expected
 
 
 class TestCheckRealQS:
@@ -49,7 +47,7 @@ class TestCheckRealQS:
         (F(1, 2), F(1, 2), F(0), True),  # lower endpoint (1/2 - 1/2)^2
     ])
     def test_examples(self, p, q, r, expected):
-        assert check_real_qs(CondTriple(p, q, r)) is expected
+        assert classify(CondTriple(p, q, r)).real_qs is expected
 
 
 class TestClassify:
@@ -78,19 +76,25 @@ class TestClassify:
 
     @given(triples)
     def test_classical_implies_complex(self, t):
-        if check_classical(t):
-            assert check_complex_qs(t)
+        v = classify(t)
+        if v.classical:
+            assert v.complex_qs
 
     @given(triples)
     def test_real_implies_complex(self, t):
-        if check_real_qs(t):
-            assert check_complex_qs(t)
+        v = classify(t)
+        if v.real_qs:
+            assert v.complex_qs
 
     @given(triples)
     def test_flags_match_check_functions(self, t):
+        # the flags agree with the bounds classify reports and the gap
+        # quantum_interval returns
         v = classify(t)
+        lo, hi = v.classical_bounds
+        *_, gap = quantum_interval(t)
         assert (v.classical, v.real_qs, v.complex_qs) == (
-            check_classical(t), check_real_qs(t), check_complex_qs(t))
+            lo <= t.r <= hi, gap == 0, gap <= 0)
 
     @given(triples)
     def test_pure_function(self, t):
@@ -108,7 +112,7 @@ class TestClassify:
         classical = lo <= r <= hi
         v = classify(t)
         assert (v.classical, v.real_qs, v.complex_qs) == (classical, gap == 0, gap <= 0)
-        assert v.classical_bounds == classical_bounds(t) == (lo, hi)
+        assert v.classical_bounds == (lo, hi)
         assert v.boundary == ((classical and r in (lo, hi)) or gap == 0)
         radius = math.sqrt(float(radius_sq))
         assert v.complex_bounds == (float(center) - radius, float(center) + radius)
@@ -188,5 +192,5 @@ class TestBayesInvert:
 
 
 def test_classical_bounds_values():
-    lo, hi = classical_bounds(CondTriple(F(13, 18), F(5, 18), F(10, 17)))
+    lo, hi = classify(CondTriple(F(13, 18), F(5, 18), F(10, 17))).classical_bounds
     assert (lo, hi) == (F(0), F(5, 9))

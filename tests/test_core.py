@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from evspace import core
 from evspace.core import (CondTriple, CorrelationVector, EventTable, FormatError,
                           Ternary, parse_correlation_vector, parse_event_table,
-                          prob, serialize_correlation_vector, serialize_event_table)
+                          serialize_correlation_vector, serialize_event_table)
+from evspace.estimation import smooth_triple
 
 FIG1 = """
 # comment line
@@ -21,27 +23,6 @@ A,B,C
 0,0,1 x1
 0,0,0 x1
 """
-
-
-class TestProb:
-    def test_basic_value(self):
-        assert prob(13, 18) == F(13, 18)
-
-    def test_zero(self):
-        assert prob(0, 5) == F(0)
-
-    def test_reduction(self):
-        assert prob(4, 8) == F(1, 2)
-
-    @pytest.mark.parametrize("num,den", [(-1, 2), (3, 2), (1, 0), (1, -4)])
-    def test_out_of_range(self, num, den):
-        with pytest.raises(ValueError):
-            prob(num, den)
-
-    @given(st.integers(1, 500), st.integers(0, 500), st.integers(1, 20))
-    def test_reduction_canonical(self, den, num, k):
-        num = num % (den + 1)
-        assert prob(k * num, k * den) == prob(num, den)
 
 
 class TestRationalParsing:
@@ -152,8 +133,32 @@ class TestCondTriple:
             CondTriple(F(3, 2), F(0), F(0))
 
     def test_marginal_open_interval(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"marginal 0 is outside \(0, 1\]"):
             CondTriple(F(1, 2), F(1, 2), F(1, 2), marginal=F(0))
+        with pytest.raises(ValueError, match=r"marginal 3/2 is outside \(0, 1\]"):
+            CondTriple(F(1, 2), F(1, 2), F(1, 2), marginal=F(3, 2))
+
+    @pytest.mark.parametrize("value", [0.5, "1/2", Decimal("0.5")],
+                             ids=["float", "str", "Decimal"])
+    @pytest.mark.parametrize("build", [
+        lambda x: CondTriple(x, F(1, 2), F(1, 2)),
+        lambda x: CondTriple(F(1, 2), x, F(1, 2)),
+        lambda x: CondTriple(F(1, 2), F(1, 2), x),
+        lambda x: CondTriple(F(1, 2), F(1, 2), F(1, 2), marginal=x),
+        lambda x: CorrelationVector(2, {1: x}),
+        lambda x: CorrelationVector(2, {}, {(1, 2): x}),
+        lambda x: smooth_triple(CondTriple(F(1), F(1), F(1)),
+                                CondTriple(F(0), F(0), F(0)), (F(0), x, F(0))),
+    ], ids=["p", "q", "r", "marginal", "unary", "pairwise", "smooth-coefficient"])
+    def test_only_ints_and_fractions_are_exact(self, build, value):
+        with pytest.raises(TypeError, match="must be an int or a Fraction"):
+            build(value)
+
+    def test_exact_values_are_kept(self):
+        half = F(1, 2)
+        t = CondTriple(half, 1, 0, marginal=half)
+        assert t.p is half and t.marginal is half
+        assert (t.q, t.r) == (F(1), F(0)) and type(t.q) is F
 
     def test_immutable(self):
         t = CondTriple(F(1, 2), F(1, 2), F(1, 2))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evspace.admissibility import check_classical, classify
+from evspace.admissibility import classify
 from evspace.core import CondTriple, Ternary, parse_event_table
 from evspace.estimation import (Corpus, MissingStrategy, ZeroConditioningError,
                                 broker_mix, cond_prob, estimate_triple,
@@ -106,7 +106,7 @@ class TestEstimateTriple:
         t = estimate_triple(fig1, "A", "B", "C")
         assert (t.p, t.q, t.r) == (F(2, 5), F(4, 5), F(1, 5))
         assert t.marginal == F(1, 2)
-        assert check_classical(t)  # boundary case
+        assert classify(t).classical  # boundary case
 
     def test_fig3_exclude_unknown(self, fig3):
         t = estimate_triple(fig3, "A", "B", "C", MissingStrategy.EXCLUDE_UNKNOWN)
@@ -142,7 +142,7 @@ class TestEstimateTriple:
             except ZeroConditioningError:
                 continue
             assert t.marginal == F(1, 2)
-            assert check_classical(t), (table.rows, t)
+            assert classify(t).classical, (table.rows, t)
 
     def test_equal_marginals_alone_are_not_enough(self):
         # a genuine single event space with common marginal 5/13 whose
@@ -155,7 +155,7 @@ class TestEstimateTriple:
             for bits, n in rows.items()))
         t = estimate_triple(table, "A", "B", "C")
         assert t.marginal == F(5, 13)
-        assert not check_classical(t)
+        assert not classify(t).classical
 
 
 class TestSmoothTriple:
@@ -164,7 +164,7 @@ class TestSmoothTriple:
         background = CondTriple(F(1, 2), F(1, 2), F(1, 2))
         out = smooth_triple(base, background, (F(1, 9), F(1, 9), F(2, 17)))
         assert (out.p, out.q, out.r) == (F(13, 18), F(5, 18), F(10, 17))
-        assert not check_classical(out)
+        assert not classify(out).classical
 
     def test_zero_coefficients(self):
         base = CondTriple(F(3, 4), F(1, 4), F(3, 5))
@@ -192,7 +192,7 @@ class TestBrokerMix:
     def test_half_mixture_violates(self):
         out = broker_mix([self.S1, self.S2], [F(1, 2), F(1, 2)])
         assert (out.p, out.q, out.r) == (F(4, 10), F(2, 10), F(3, 10))
-        assert not check_classical(out)
+        assert not classify(out).classical
 
     def test_single_component_identity(self):
         out = broker_mix([self.S1], [F(1)])
@@ -206,9 +206,9 @@ class TestBrokerMix:
         # mixing two admissible triples: alpha 0 and 1 recover the originals
         a = CondTriple(F(2, 5), F(1, 5), F(2, 5))
         b = CondTriple(F(1, 2), F(1, 2), F(1, 2))
-        assert check_classical(a) and check_classical(b)
+        assert classify(a).classical and classify(b).classical
         admissible = [alpha for alpha in (F(k, 10) for k in range(11))
-                      if check_classical(broker_mix([a, b], [alpha, 1 - alpha]))]
+                      if classify(broker_mix([a, b], [alpha, 1 - alpha])).classical]
         assert F(0) in admissible and F(1) in admissible
 
     @given(probs, probs, probs, probs)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evspace.admissibility import check_classical
+from evspace.admissibility import classify
 from evspace.core import CondTriple, CorrelationVector
 from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
                               _feasibility, _restrict, _verify_witness,
@@ -73,7 +73,7 @@ class TestMembership:
     def test_n3_eighth_infeasible(self):
         cert = membership(complete_vector(3, [F(1, 2)] * 3, [F(1, 8)] * 3))
         assert not cert.feasible
-        assert not check_classical(CondTriple(F(1, 4), F(1, 4), F(1, 4)))
+        assert not classify(CondTriple(F(1, 4), F(1, 4), F(1, 4))).classical
 
     @given(st.integers(2, 4).flatmap(
         lambda n: st.tuples(st.just(n), st.integers(0, (1 << n) - 1))))
@@ -226,7 +226,7 @@ class TestProposition1Consistency:
         for _ in range(200):
             t = CondTriple(rand_prob(rng), rand_prob(rng), rand_prob(rng),
                            marginal=F(1, 2))
-            assert check_classical(t) == membership(self.induced(t)).feasible
+            assert classify(t).classical == membership(self.induced(t)).feasible
 
 
 class TestBuildRankingVector:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evspace.admissibility import check_complex_qs, check_real_qs
+from evspace.admissibility import classify
 from evspace.core import CondTriple
 from evspace.quantum import (Field, NotRepresentableError, StateVector,
                              amplitude_prob, realize)
@@ -74,7 +74,7 @@ class TestRealize:
         checked = 0
         while checked < 300:
             t = CondTriple(rand_prob(rng, 20), rand_prob(rng, 20), rand_prob(rng, 20))
-            if not check_complex_qs(t):
+            if not classify(t).complex_qs:
                 with pytest.raises(NotRepresentableError):
                     realize(t)
                 continue
@@ -83,7 +83,7 @@ class TestRealize:
             assert amplitude_prob(real.a, real.b) == pytest.approx(float(t.p), abs=1e-12)
             assert amplitude_prob(real.b, real.c) == pytest.approx(float(t.q), abs=1e-12)
             assert amplitude_prob(real.a, real.c) == pytest.approx(float(t.r), abs=1e-12)
-            assert (real.field is Field.REAL) == check_real_qs(t)
+            assert (real.field is Field.REAL) == classify(t).real_qs
 
     @given(st.fractions(0, 1), st.fractions(0, 1))
     def test_forced_r_when_degenerate(self, p, q):
