@@ -17,8 +17,8 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from . import admissibility, estimation, pitowsky, quantum
-from .core import (CapExceededError, CondTriple, FormatError, parse_event_table,
-                   parse_correlation_vector, parse_prob)
+from .core import (CapExceededError, CondTriple, FormatError, parse_digits,
+                   parse_event_table, parse_correlation_vector, parse_prob)
 from .estimation import MissingStrategy
 
 EXIT_OK = 0
@@ -212,15 +212,17 @@ def cmd_survey(args) -> tuple[int, Report]:
     report = Report(float_output=args.float)
     report.add("documents", corpus.N)
     report.add("rows", len(rows))
-    for idx, row in enumerate(rows, 1):
-        v = row.verdict
-        flags = "".join("YN"[not b] for b in (v.classical, v.real_qs, v.complex_qs))
-        p, q, r = (_render_value(x, report.float_output)
-                   for x in (row.triple.p, row.triple.q, row.triple.r))
-        report.add(
-            f"row.{idx}",
-            f"query={row.query_id} terms={row.term_b},{row.term_c} "
-            f"p={p} q={q} r={r} verdict={flags}")
+    # rows with equal counts share one triple object, which ``rows`` keeps
+    # alive, so its id names it: each shared triple is rendered once
+    rendered: dict[int, str] = {}
+    for idx, (query_id, term_b, term_c, t, v) in enumerate(rows, 1):
+        tail = rendered.get(id(t))
+        if tail is None:
+            flags = "".join("YN"[not b] for b in (v.classical, v.real_qs, v.complex_qs))
+            p, q, r = (_render_value(x, report.float_output) for x in (t.p, t.q, t.r))
+            tail = rendered[id(t)] = f"p={p} q={q} r={r} verdict={flags}"
+        report.fields.append(
+            (f"row.{idx}", f"query={query_id} terms={term_b},{term_c} {tail}"))
     return EXIT_OK, report
 
 
@@ -379,6 +381,15 @@ def cmd_reproduce(args) -> tuple[int, Report]:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+def _digits_arg(text: str) -> int:
+    """``parse_digits`` as an argparse type, failing with argparse's
+    message for ``int``."""
+    try:
+        return parse_digits(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # built once per process: parse_args leaves the parser unchanged
@@ -400,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("vector", help="correlation-polytope queries")
     p.add_argument("file", help="correlation vector file")
     p.add_argument("subcommand", choices=["membership", "decompose"])
-    p.add_argument("--relevance", type=int, default=None,
+    p.add_argument("--relevance", type=_digits_arg, default=None,
                    help="relevance event index for decompose (default n)")
     p.set_defaults(fn=cmd_vector)
 

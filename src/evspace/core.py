@@ -77,6 +77,16 @@ def parse_rational(text: str) -> Fraction:
     raise FormatError(f"not a rational literal: {text!r}")
 
 
+def parse_digits(text: str) -> int:
+    """One or more ASCII digits ``0``-``9``, surrounding whitespace allowed,
+    as an int.  ``int`` alone would also read a sign, digit-group
+    underscores and non-ASCII digits."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise FormatError(f"not a digit string: {text!r}")
+    return int(digits)
+
+
 def parse_prob(text: str) -> Fraction:
     value = parse_rational(text)
     if value < 0 or value > 1:
@@ -217,7 +227,7 @@ def data_lines(text: str) -> Iterator[str]:
             yield ln
 
 
-_COUNT_SUFFIX = re.compile(r"(?:\s+|\s*,\s*)x(\d+)\s*$")
+_COUNT_SUFFIX = re.compile(r"(?:\s+|\s*,\s*)x([0-9]+)\s*$")
 _CELL = {t.value: t for t in Ternary}
 
 
@@ -266,7 +276,7 @@ def serialize_event_table(table: EventTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-_VEC_KEY = re.compile(r"^p(\d+)(?:,(\d+))?$")
+_VEC_KEY = re.compile(r"^p([0-9]+)(?:,([0-9]+))?$")
 
 
 def parse_correlation_vector(text: str) -> CorrelationVector:
@@ -284,7 +294,7 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
             if n is not None:
                 raise FormatError(f"duplicate key: {key!r}")
             try:
-                n = int(value.strip())
+                n = parse_digits(value)
             except ValueError:
                 raise FormatError(f"bad n= line: {ln!r}") from None
             continue

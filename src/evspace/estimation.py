@@ -14,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import admissibility
 from .admissibility import AdmissibilityVerdict
@@ -22,10 +22,11 @@ from .core import (CapExceededError, CondTriple, EventTable, FormatError,
                    Ternary, as_prob, data_lines)
 
 # bound on survey rows, counted as Σ C(k, 2) over queries before any work.
-# On one x86_64 core the whole `survey` command takes about 8 µs per row plus
-# about 17 µs per distinct count triple it classifies (measured on perfbench's
-# corpora and on a 10^5-row corpus), so 10^6 rows take from about 8 s, when
-# the triples repeat, to about 25 s, when every row's triple is distinct
+# On one x86_64 core the whole `survey` command takes about 2 µs per row plus
+# about 16 µs per distinct count triple, which it classifies and renders once
+# (measured on two 101,025-row corpora, with 566 and 47,078 distinct triples;
+# perfbench's corpora take about 7 µs per row), so 10^6 rows take from about
+# 2 s, when the triples repeat, to about 18 s, when every row's is distinct
 MAX_SURVEY_ROWS = 10**6
 
 
@@ -166,8 +167,7 @@ def parse_corpus(documents_text: str, qrels_text: str) -> Corpus:
         raise FormatError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class SurveyRow:
+class SurveyRow(NamedTuple):
     query_id: str
     term_b: str
     term_c: str
@@ -183,35 +183,47 @@ def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
     triple is built."""
     if corpus.N == 0:
         raise ValueError("empty corpus")
-    postings: dict[str, set[str]] = {}
-    for doc_id, terms in corpus.documents:
+    # a document is its position in corpus.documents
+    postings: dict[str, list[int]] = {}
+    for pos, (_, terms) in enumerate(corpus.documents):
         for term in terms:
-            postings.setdefault(term, set()).add(doc_id)
+            postings.setdefault(term, []).append(pos)
     terms_by_df = Counter(len(docs) for docs in postings.values())
     total = sum(math.comb(terms_by_df[len(relevant)], 2)
                 for _, relevant in corpus.queries if relevant)
     if total > MAX_SURVEY_ROWS:
         raise CapExceededError(f"survey of {total} rows exceeds cap {MAX_SURVEY_ROWS}")
+    position = {doc_id: pos for pos, (doc_id, _) in enumerate(corpus.documents)}
     rows: list[SurveyRow] = []
     for query_id, relevant in corpus.queries:
         if not relevant:
             continue
         n_rel = len(relevant)
         marginal = Fraction(n_rel, corpus.N)
+        over_n_rel = [Fraction(k, n_rel) for k in range(n_rel + 1)]
+        relevant_mask = _mask(position[doc_id] for doc_id in relevant)
         selected = sorted(t for t, docs in postings.items() if len(docs) == n_rel)
-        hits = [len(postings[term] & relevant) for term in selected]
+        masks = [_mask(postings[term]) for term in selected]
+        hits = [(mask & relevant_mask).bit_count() for mask in masks]
         # every selected term, and so the conditioning term of q, occurs in
         # n_rel documents: a row's triple is its three counts over n_rel,
         # and rows with equal counts share one triple and one verdict
         classified: dict[tuple[int, int, int], tuple[CondTriple, AdmissibilityVerdict]] = {}
         for b_idx, term_b in enumerate(selected):
-            docs_b = postings[term_b]
+            mask_b, hits_b = masks[b_idx], hits[b_idx]
             for c_idx in range(b_idx + 1, len(selected)):
-                term_c = selected[c_idx]
-                key = (hits[b_idx], len(docs_b & postings[term_c]), hits[c_idx])
-                if key not in classified:
-                    triple = CondTriple(*(Fraction(k, n_rel) for k in key),
-                                        marginal=marginal)
-                    classified[key] = (triple, admissibility.classify(triple))
-                rows.append(SurveyRow(query_id, term_b, term_c, *classified[key]))
+                key = (hits_b, (mask_b & masks[c_idx]).bit_count(), hits[c_idx])
+                shared = classified.get(key)
+                if shared is None:
+                    triple = CondTriple(*(over_n_rel[k] for k in key), marginal=marginal)
+                    shared = classified[key] = (triple, admissibility.classify(triple))
+                rows.append(SurveyRow(query_id, term_b, selected[c_idx], *shared))
     return rows
+
+
+def _mask(positions: Iterable[int]) -> int:
+    """The set of document positions as an int, bit i for position i."""
+    mask = 0
+    for pos in positions:
+        mask |= 1 << pos
+    return mask

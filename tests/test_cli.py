@@ -1,4 +1,5 @@
 import os
+import random
 import time
 from fractions import Fraction
 from importlib import resources
@@ -160,6 +161,22 @@ class TestVector:
         assert code == 2
         assert out == ""
         assert err == "error: --relevance applies only to decompose\n"
+
+    # "x" was refused before the digits rule; the others were read as 3
+    @pytest.mark.parametrize("relevance", ["x", "\u0663", "\uff13", "0_3", "+3"])
+    def test_relevance_is_ascii_digits(self, capsys, relevance):
+        with pytest.raises(SystemExit) as exc:
+            main(["vector", fixture_path("vec_n3_gap.vec"), "decompose",
+                  "--relevance", relevance])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(
+            f"error: argument --relevance: invalid int value: {relevance!r}\n")
+
+    def test_relevance_allows_surrounding_whitespace(self, capsys):
+        argv = ["vector", fixture_path("vec_n3_gap.vec"), "decompose", "--relevance"]
+        assert run(capsys, *argv, " 3 ") == run(capsys, *argv, "3")
 
     def test_bad_n_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.vec"
@@ -375,6 +392,42 @@ class TestRealizeSurvey:
         assert code == 2
         assert out == ""
         assert err == "error: bad qrels line: 'q1 d1 d2'\n"
+
+    @pytest.mark.parametrize("float_output", [False, True])
+    def test_survey_rows_render_their_own_fields(self, tmp_path, capsys, float_output):
+        # 14 terms of document frequency 4 and three queries, two of them
+        # with 4 relevant documents: 91 rows per such query over at most
+        # 5 * 5 * 5 count triples, so rows share triples within a query
+        rng = random.Random(21)
+        docs = [f"d{k}" for k in range(30)]
+        terms = {d: set() for d in docs}
+        for t in range(14):
+            for d in rng.sample(docs, 4):
+                terms[d].add(f"t{t}")
+        queries = [("qa", rng.sample(docs, 4)), ("qb", rng.sample(docs, 4)),
+                   ("qc", rng.sample(docs, 3))]
+        docs_path, qrels_path = tmp_path / "docs.txt", tmp_path / "qrels.txt"
+        docs_path.write_text("".join(f"{d} {' '.join(sorted(ts))}\n"
+                                     for d, ts in terms.items()))
+        qrels_path.write_text("".join(f"{q} {d}\n" for q, rel in queries for d in rel))
+        rows = estimation.survey_corpus(estimation.parse_corpus(
+            docs_path.read_text(), qrels_path.read_text()))
+        assert len({id(row.triple) for row in rows}) < len(rows)
+        render = (lambda x: repr(float(x))) if float_output else str
+        argv = ["--float"] * float_output + ["survey", str(docs_path), str(qrels_path)]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        fields = Report.parse(out).fields
+        assert fields[:2] == [("documents", "30"), ("rows", str(len(rows)))]
+        assert len(fields) == 2 + len(rows)
+        for idx, (row, (key, value)) in enumerate(zip(rows, fields[2:]), 1):
+            t, v = row.triple, row.verdict
+            flags = "".join("Y" if b else "N"
+                            for b in (v.classical, v.real_qs, v.complex_qs))
+            assert (key, value) == (
+                f"row.{idx}",
+                f"query={row.query_id} terms={row.term_b},{row.term_c} "
+                f"p={render(t.p)} q={render(t.q)} r={render(t.r)} verdict={flags}")
 
 
 class TestReproduce:

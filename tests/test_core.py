@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal
 from fractions import Fraction as F
 
@@ -91,6 +92,12 @@ class TestEventTable:
     def test_count_suffix_comma_form(self):
         table = parse_event_table("A\n1,x3\n0")
         assert table.total == 4
+
+    @pytest.mark.parametrize("suffix", [" x\u0663", ",x\u0663", " x\uff13"])
+    def test_count_is_ascii_digits(self, suffix):
+        # a non-ASCII digit is no count, so the suffix stays in the last cell
+        with pytest.raises(FormatError, match="unknown cell symbol"):
+            parse_event_table(f"A,B,C\n1,1,1{suffix}\n")
 
     def test_roundtrip(self):
         table = parse_event_table(FIG1)
@@ -206,4 +213,19 @@ class TestCorrelationVector:
     def test_bad_n_names_the_line(self):
         with pytest.raises(FormatError, match="bad n= line: 'n=abc'"):
             parse_correlation_vector("n=abc\np1=1/2\n")
+
+    # n= and the indices are ASCII digits only: int() alone would read a
+    # sign, digit-group underscores and non-ASCII digits
+    @pytest.mark.parametrize("n", ["1_0", "+3", "-3", "\u0663", "\uff13"])
+    def test_n_is_ascii_digits(self, n):
+        with pytest.raises(FormatError, match=re.escape(f"bad n= line: 'n={n}'")):
+            parse_correlation_vector(f"n={n}\np1=1/2\n")
+
+    def test_n_allows_surrounding_whitespace(self):
+        assert parse_correlation_vector("n= 3 \np1=1/2\n").n == 3
+
+    @pytest.mark.parametrize("key", ["p\u0661", "p1,\u0662", "p\uff11", "p1,\uff12"])
+    def test_indices_are_ascii_digits(self, key):
+        with pytest.raises(FormatError, match=re.escape(f"bad key: '{key}'")):
+            parse_correlation_vector(f"n=2\n{key}=1/2\n")
 

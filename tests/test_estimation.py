@@ -272,14 +272,25 @@ class TestSurveyCorpus:
 
     @given(st.data())
     def test_rows_are_recounted_triples(self, data):
-        # random small corpora: every row's triple is its counts over the
-        # relevant-set size, and its verdict is classify of that triple
-        n_docs = data.draw(st.integers(1, 8))
+        # random corpora of up to 200 documents, so that a term's documents
+        # span several 64-bit words: every row's triple is its counts over
+        # the relevant-set size, and its verdict is classify of that triple.
+        # A term occurs in as many documents as some query has relevant
+        # ones, or in a drawn number; documents without terms and queries
+        # without relevant documents are drawn too
+        n_docs = data.draw(st.integers(1, 200))
         docs = [f"d{k}" for k in range(n_docs)]
-        term_sets = st.frozensets(st.sampled_from(["a", "b", "c", "d", "e"]))
-        documents = tuple((doc, data.draw(term_sets)) for doc in docs)
-        queries = tuple((f"q{k}", data.draw(st.frozensets(st.sampled_from(docs))))
+
+        def subset(size):
+            return frozenset(data.draw(st.permutations(docs))[:size])
+        sizes = st.integers(0, n_docs)
+        queries = tuple((f"q{k}", subset(data.draw(sizes)))
                         for k in range(data.draw(st.integers(1, 3))))
+        planted = {term: subset(data.draw(st.one_of(
+                       st.sampled_from([len(rel) for _, rel in queries]), sizes)))
+                   for term in "abcdef"}
+        documents = tuple((doc, frozenset(t for t, ds in planted.items() if doc in ds))
+                          for doc in docs)
         corpus = Corpus(documents, queries)
         holders = {}
         for doc, terms in documents:
