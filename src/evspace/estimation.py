@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -22,11 +23,15 @@ from .core import (CapExceededError, CondTriple, EventTable, FormatError,
                    Ternary, as_prob, data_lines)
 
 # bound on survey rows, counted as Σ C(k, 2) over queries before any work.
-# On one x86_64 core the whole `survey` command takes about 2 µs per row plus
-# about 16 µs per distinct count triple, which it classifies and renders once
-# (measured on two 101,025-row corpora, with 566 and 47,078 distinct triples;
-# perfbench's corpora take about 7 µs per row), so 10^6 rows take from about
-# 2 s, when the triples repeat, to about 18 s, when every row's is distinct
+# A row's overlap is one AND as wide as the documents that two of its query's
+# lists share, so it does not grow with the corpus.  On one x86_64 core the
+# whole `survey` command takes about 2-4 µs per row plus about 16-20 µs per
+# distinct count triple, which it classifies and renders once (two 101,025-row
+# corpora of 2,000 documents, with 566 and 47,078 distinct triples).  A large
+# corpus adds its parse, and Python's cyclic collector walks its objects as
+# rows accumulate: 241,068 rows over 100,000 documents take about 4 s, and
+# 783,961 rows over 300,000 documents about 7 s.  So 10^6 rows take from
+# about 3 s, on a small corpus whose triples repeat, to 20 s or more
 MAX_SURVEY_ROWS = 10**6
 
 
@@ -183,17 +188,17 @@ def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
     triple is built."""
     if corpus.N == 0:
         raise ValueError("empty corpus")
-    # a document is its position in corpus.documents
-    postings: dict[str, list[int]] = {}
-    for pos, (_, terms) in enumerate(corpus.documents):
+    postings: dict[str, list[str]] = {}
+    for doc_id, terms in corpus.documents:
         for term in terms:
-            postings.setdefault(term, []).append(pos)
-    terms_by_df = Counter(len(docs) for docs in postings.values())
-    total = sum(math.comb(terms_by_df[len(relevant)], 2)
+            postings.setdefault(term, []).append(doc_id)
+    terms_by_df: dict[int, list[str]] = {}
+    for term, docs in postings.items():
+        terms_by_df.setdefault(len(docs), []).append(term)
+    total = sum(math.comb(len(terms_by_df.get(len(relevant), ())), 2)
                 for _, relevant in corpus.queries if relevant)
     if total > MAX_SURVEY_ROWS:
         raise CapExceededError(f"survey of {total} rows exceeds cap {MAX_SURVEY_ROWS}")
-    position = {doc_id: pos for pos, (doc_id, _) in enumerate(corpus.documents)}
     rows: list[SurveyRow] = []
     for query_id, relevant in corpus.queries:
         if not relevant:
@@ -201,9 +206,16 @@ def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
         n_rel = len(relevant)
         marginal = Fraction(n_rel, corpus.N)
         over_n_rel = [Fraction(k, n_rel) for k in range(n_rel + 1)]
-        relevant_mask = _mask(position[doc_id] for doc_id in relevant)
-        selected = sorted(t for t, docs in postings.items() if len(docs) == n_rel)
-        masks = [_mask(postings[term]) for term in selected]
+        selected = sorted(terms_by_df.get(n_rel, ()))
+        doc_lists = [relevant, *(postings[term] for term in selected)]
+        # a document adds to a hit or an overlap only when two of these lists
+        # hold it: give each such document one bit, so a mask is as wide as
+        # the shared documents, not as the corpus
+        held = Counter(chain.from_iterable(doc_lists))
+        bit = {doc_id: k for k, doc_id in
+               enumerate(doc_id for doc_id, lists in held.items() if lists > 1)}
+        relevant_mask, *masks = (_mask([bit[d] for d in docs if d in bit], len(bit))
+                                 for docs in doc_lists)
         hits = [(mask & relevant_mask).bit_count() for mask in masks]
         # every selected term, and so the conditioning term of q, occurs in
         # n_rel documents: a row's triple is its three counts over n_rel,
@@ -221,9 +233,10 @@ def survey_corpus(corpus: Corpus) -> list[SurveyRow]:
     return rows
 
 
-def _mask(positions: Iterable[int]) -> int:
-    """The set of document positions as an int, bit i for position i."""
-    mask = 0
-    for pos in positions:
-        mask |= 1 << pos
-    return mask
+def _mask(bits: Iterable[int], width: int) -> int:
+    """The int with the given bits set, each below ``width``, built in time
+    linear in ``width`` and the number of bits."""
+    buf = bytearray(width // 8 + 1)
+    for k in bits:
+        buf[k >> 3] |= 1 << (k & 7)
+    return int.from_bytes(buf, "little")

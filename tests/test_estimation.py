@@ -261,6 +261,23 @@ class TestSurveyCorpus:
                         (("q", frozenset()),))
         assert survey_corpus(corpus) == []
 
+    def test_counts_in_a_large_sparse_corpus(self):
+        # 10,000 documents, of which only d1, d2 and d5000 are held by two of
+        # the relevant set and the three terms' documents: counts read the
+        # same whether the shared documents sit near or far apart
+        held = {"a": {"d0", "d1", "d5000", "d9999"},
+                "b": {"d1", "d5000", "d7000", "d8000"},
+                "c": {"d2", "d3", "d6000", "d9998"}}
+        documents = tuple((f"d{k}", frozenset(t for t, ds in held.items() if f"d{k}" in ds))
+                          for k in range(10_000))
+        corpus = Corpus(documents, (("q", frozenset({"d0", "d1", "d2", "d3"})),))
+        rows = survey_corpus(corpus)
+        assert [(r.term_b, r.term_c, r.triple.p, r.triple.q, r.triple.r) for r in rows] == [
+            ("a", "b", F(2, 4), F(2, 4), F(1, 4)),
+            ("a", "c", F(2, 4), F(0), F(2, 4)),
+            ("b", "c", F(1, 4), F(0), F(2, 4))]
+        assert all(r.triple.marginal == F(4, 10_000) for r in rows)
+
     def test_frequency_provenance(self, corpus):
         n_rel = {qid: len(rel) for qid, rel in corpus.queries}
         for row in survey_corpus(corpus):
@@ -272,8 +289,8 @@ class TestSurveyCorpus:
 
     @given(st.data())
     def test_rows_are_recounted_triples(self, data):
-        # random corpora of up to 200 documents, so that a term's documents
-        # span several 64-bit words: every row's triple is its counts over
+        # random corpora of up to 200 documents, so that a mask can span
+        # several 64-bit words: every row's triple is its counts over
         # the relevant-set size, and its verdict is classify of that triple.
         # A term occurs in as many documents as some query has relevant
         # ones, or in a drawn number; documents without terms and queries
