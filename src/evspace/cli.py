@@ -147,14 +147,11 @@ def _certificate_fields(report: Report, prefix: str, cert) -> None:
         report.add(f"{prefix}witness", cert.witness.render())
 
 
-def _strategy(args) -> MissingStrategy:
-    return MissingStrategy(args.strategy)
-
-
 def cmd_estimate(args) -> tuple[int, Report]:
     with open(args.table) as fh:
         table = parse_event_table(fh.read())
-    t = estimation.estimate_triple(table, args.a, args.b, args.c, _strategy(args))
+    t = estimation.estimate_triple(table, args.a, args.b, args.c,
+                                   MissingStrategy(args.strategy))
     return _classified(args, t)
 
 
@@ -169,7 +166,8 @@ def cmd_mix(args) -> tuple[int, Report]:
         names = table.observables[:3]
         if len(names) < 3:
             raise FormatError(f"{path}: need three observables")
-        triples.append(estimation.estimate_triple(table, *names, _strategy(args)))
+        triples.append(estimation.estimate_triple(
+            table, *names, MissingStrategy(args.strategy)))
     mixed = estimation.broker_mix(triples, [alpha, 1 - alpha])
     return _classified(args, mixed, ("alpha", alpha))
 

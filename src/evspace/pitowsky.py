@@ -14,10 +14,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
-from .core import CapExceededError, CorrelationVector, ONE, ZERO, as_prob
+from .core import (CapExceededError, CorrelationVector, ONE, ZERO, as_prob,
+                   parse_digits)
 from .simplex import solve_feasibility
 
 DEFAULT_MAX_N = 12
@@ -28,7 +30,7 @@ def max_n_from_env() -> int:
     if not value:
         return DEFAULT_MAX_N
     try:
-        return int(value)
+        return parse_digits(value)
     except ValueError:
         raise ValueError(f"EVSPACE_MAX_N is not an integer: {value!r}") from None
 
@@ -167,44 +169,43 @@ def _verify_witness(v: CorrelationVector, witness: Witness) -> None:
 # Closed-form small-n systems
 # ---------------------------------------------------------------------------
 
-def _pair_holds(pi: Fraction, pj: Fraction, pij: Fraction) -> bool:
-    """The n=2 system, for probabilities in [0, 1]: its rows are the trivial
-    facets of the correlation polytope."""
-    return ZERO <= pij <= min(pi, pj) and pi + pj - pij <= ONE
+@cache
+def _facets(events: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], ...]:
+    """The facets of the polytope on two or three events, as integer rows
+    keyed like ``Witness.coeffs`` with the constant under ``()``, each <= 0
+    on every vertex: -p_ij for a pair, then the corner row at each event i,
+    p_ij + p_ik - p_jk - p_i (p_ij - p_i for a pair), then the sum row
+    p_i + p_j + p_k - p_ij - p_ik - p_jk - 1 (p_i + p_j - p_ij - 1)."""
+    pairs = list(combinations(events, 2))
+    rows = [{pair: 1 if e in pair else -1 for pair in pairs} | {(e,): -1}
+            for e in events]
+    rows.append({(e,): 1 for e in events} | dict.fromkeys(pairs, -1) | {(): -1})
+    return ({events: -1}, *rows) if len(events) == 2 else tuple(rows)
 
 
-def _corner_rows_hold(p: Mapping[int, Fraction],
-                      pp: Mapping[tuple[int, int], Fraction],
-                      i: int, j: int, k: int) -> bool:
-    """The three triangle facets p_ij + p_ik - p_jk <= p_i, one at each
-    event, i < j < k."""
-    pij, pik, pjk = pp[(i, j)], pp[(i, k)], pp[(j, k)]
-    return (pij + pik - pjk <= p[i]
-            and pij + pjk - pik <= p[j]
-            and pik + pjk - pij <= p[k])
+def _scaled(v: CorrelationVector) -> dict[tuple[int, ...], int]:
+    """v's present entries keyed by their events, as integers over their least
+    common denominator d, which is the value of the constant ``()``."""
+    entries = v.entries()
+    d = math.lcm(*(value.denominator for _, value in entries))
+    return {(): d, **{events: value.numerator * (d // value.denominator)
+                      for events, value in entries}}
 
 
-def _triangle_holds(p: Mapping[int, Fraction],
-                    pp: Mapping[tuple[int, int], Fraction],
-                    i: int, j: int, k: int) -> bool:
-    """The four triangle facets of the three-event polytope, i < j < k."""
-    return (p[i] + p[j] + p[k] - pp[(i, j)] - pp[(i, k)] - pp[(j, k)] <= ONE
-            and _corner_rows_hold(p, pp, i, j, k))
+def _breaks(rows, scaled: Mapping[tuple[int, ...], int]) -> bool:
+    return any(sum(c * scaled[events] for events, c in row.items()) > 0
+               for row in rows)
 
 
 def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
-    """The pairs and triples of events whose own entries break a pair row or
-    a triangle row.  Each names a restriction of v outside the polytope, so
-    every superset of it is infeasible.  A row is read only when all of its
+    """The pairs and triples of events whose own entries break a row of
+    ``_facets``.  Each names a restriction of v outside the polytope, so
+    every superset of it is infeasible.  A face is read only when all of its
     entries are present: absent entries are existentially completed."""
-    p, pp = v.unary, v.pairwise
-    faces = [(i, j) for (i, j), pij in sorted(pp.items())
-             if i in p and j in p and not _pair_holds(p[i], p[j], pij)]
-    for i, j, k in combinations(sorted(p), 3):
-        if ((i, j) in pp and (i, k) in pp and (j, k) in pp
-                and not _triangle_holds(p, pp, i, j, k)):
-            faces.append((i, j, k))
-    return faces
+    scaled = _scaled(v)
+    return [face for size in (2, 3) for face in combinations(sorted(v.unary), size)
+            if all(map(v.pairwise.__contains__, combinations(face, 2)))
+            and _breaks(_facets(face), scaled)]
 
 
 def closed_form_n3(v: CorrelationVector) -> bool:
@@ -217,9 +218,9 @@ def closed_form_n3(v: CorrelationVector) -> bool:
     """
     if v.n != 3 or not v.is_complete:
         raise ValueError("expected a complete n=3 correlation vector")
-    p, pp = v.unary, v.pairwise
-    return (all(_pair_holds(p[i], p[j], pij) for (i, j), pij in pp.items())
-            and _corner_rows_hold(p, pp, 1, 2, 3))
+    rows = [row for face in (*combinations((1, 2, 3), 2), (1, 2, 3))
+            for row in _facets(face)]
+    return not _breaks(rows[:-1], _scaled(v))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ import functools
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from evspace.admissibility import classify
 from evspace.cli import main
 from evspace.core import CondTriple, CorrelationVector, Ternary

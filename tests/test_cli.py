@@ -1,4 +1,3 @@
-import os
 import random
 import time
 from fractions import Fraction
@@ -185,12 +184,14 @@ class TestVector:
         assert code == 2
         assert err == "error: bad n= line: 'n=abc'\n"
 
-    def test_bad_max_n_env_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("EVSPACE_MAX_N", "x")
+    @pytest.mark.parametrize("value", ["x", "1_2", "+12", "١٢"])
+    def test_bad_max_n_env_exits_2(self, capsys, monkeypatch, value):
+        # int() alone would read the last three as 12
+        monkeypatch.setenv("EVSPACE_MAX_N", value)
         code, _, err = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
                            "membership")
         assert code == 2
-        assert err == "error: EVSPACE_MAX_N is not an integer: 'x'\n"
+        assert err == f"error: EVSPACE_MAX_N is not an integer: {value!r}\n"
 
     def test_decompose(self, capsys):
         code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),

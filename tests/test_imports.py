@@ -1,5 +1,5 @@
-"""No module of the package imports a name it never uses, and no module
-defines a function or class that nothing uses.
+"""No module of the package or of its tests imports a name it never uses,
+and no module of the package defines a function or class that nothing uses.
 
 No linter is a test dependency, so this reads each module with ``ast``.
 ``__init__.py`` is skipped by the import check: its imports are the
@@ -15,6 +15,7 @@ import evspace
 
 PACKAGE = Path(evspace.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,7 +36,7 @@ def test_checker_finds_an_unused_import():
     assert unused_imports(source) == ["d", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

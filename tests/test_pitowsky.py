@@ -1,15 +1,14 @@
-import random
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evspace.admissibility import classify
 from evspace.core import CondTriple, CorrelationVector
 from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
-                              _feasibility, _restrict, _verify_witness,
+                              _facets, _feasibility, _restrict, _verify_witness,
                               build_ranking_vector, closed_form_n3,
                               decompose, membership, vertex_vector,
                               violated_faces)
@@ -216,6 +215,50 @@ class TestClosedForms:
                 assert closed_form_n3(v)
 
 
+def table(n):
+    """The rows of ``_facets`` on n = 2 or 3 events: the pair rows of each
+    pair, then, at n = 3, the triangle rows."""
+    events = range(1, n + 1)
+    faces = [*combinations(events, 2), *combinations(events, 3)]
+    return [row for face in faces for row in _facets(face)]
+
+
+def affine_rank(points):
+    """The affine rank of rational points: the rank of the points, each with a
+    1 appended, by Gaussian elimination."""
+    rows = [[F(x) for x in point] + [F(1)] for point in points]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / rows[rank][col]
+            rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+class TestFacets:
+    def test_three_events_give_the_16_facets_of_cut_k4(self):
+        rows = table(3)
+        assert len({frozenset(row.items()) for row in rows}) == len(rows) == 16
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_each_row_is_a_facet(self, n):
+        # a row keyed like Witness.coeffs evaluates as one; it is a facet of
+        # the n(n+1)/2-dimensional polytope iff that many affinely
+        # independent vertices are tight on it
+        vertices = [vertex_vector(n, mask) for mask in range(1 << n)]
+        for row in table(n):
+            values = [Witness(row).evaluate(vertex) for vertex in vertices]
+            assert max(values) <= 0, row
+            tight = [[value for _, value in vertex.entries()]
+                     for vertex, value in zip(vertices, values) if value == 0]
+            assert affine_rank(tight) == n * (n + 1) // 2, row
+
+
 class TestProposition1Consistency:
     def induced(self, t: CondTriple) -> CorrelationVector:
         half = F(1, 2)
@@ -311,6 +354,29 @@ class TestViolatedFaces:
         for face in violated_faces(v):
             assert len(face) in (2, 3) and list(face) == sorted(set(face))
             assert not membership(_restrict(v, face)).feasible, face
+
+    @settings(max_examples=300, deadline=None)
+    @given(partial_vectors())
+    # breaks only the sum row, with event 4's entries absent
+    @example(CorrelationVector(4, {1: F(1, 2), 2: F(1, 2), 3: F(1, 2)},
+                               dict.fromkeys(combinations((1, 2, 3), 2), F(1, 8))))
+    def test_every_infeasible_pair_and_triple_is_listed(self, v):
+        faces = violated_faces(v)
+
+        def present(face):
+            return (all(i in v.unary for i in face)
+                    and all(pair in v.pairwise for pair in combinations(face, 2)))
+
+        def infeasible(face):
+            return not membership(_restrict(v, face)).feasible
+
+        for pair in filter(present, combinations(range(1, v.n + 1), 2)):
+            assert (pair in faces) == infeasible(pair), pair
+        # a triple holding a listed pair is infeasible whatever its own rows
+        # say, so it is listed only if one of them breaks
+        for triple in filter(present, combinations(range(1, v.n + 1), 3)):
+            if not any(pair in faces for pair in combinations(triple, 2)):
+                assert (triple in faces) == infeasible(triple), triple
 
     @settings(max_examples=400, deadline=None)
     @given(st.sampled_from([2, 3]), st.data())
