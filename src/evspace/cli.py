@@ -312,7 +312,7 @@ def _golden_checks() -> list[tuple[str, Callable[[], None]]]:
 
     def vertex_n2():
         v = pitowsky.vertex_vector(2, 0b01)
-        assert (v.unary[1], v.unary[2], v.pairwise[(1, 2)]) == (0, 1, 0)
+        assert v.entries == {(1,): 0, (2,): 1, (1, 2): 0}
         cert = pitowsky.membership(v)
         assert cert.feasible and cert.weights == {0b01: F(1)}
 

@@ -8,7 +8,7 @@ immutable after construction.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Mapping, Optional
@@ -128,38 +128,36 @@ class CondTriple:
 
 @dataclass(frozen=True)
 class CorrelationVector:
-    """Unary and pairwise probabilities for n events; pairwise entries may be
-    absent, meaning the corresponding co-occurrence was never observed."""
+    """Probabilities of n events keyed by their events, ``(i,)`` or ``(i, j)``
+    with i < j; an absent entry was never observed.  ``entries`` holds them in
+    canonical order: unary by index, then the pairs in lexicographic order."""
 
     n: int
-    unary: Mapping[int, Fraction]
-    pairwise: Mapping[tuple[int, int], Fraction] = field(default_factory=dict)
+    entries: Mapping[tuple[int, ...], Fraction]
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
-        unary = {}
-        for i, v in dict(self.unary).items():
-            if not 1 <= i <= self.n:
-                raise ValueError(f"unary index {i} outside 1..{self.n}")
-            unary[i] = as_prob(v)
-        pairwise = {}
-        for (i, j), v in dict(self.pairwise).items():
-            if not (1 <= i < j <= self.n):
-                raise ValueError(f"pairwise key ({i},{j}) invalid for n={self.n}")
-            pairwise[(i, j)] = as_prob(v)
-        object.__setattr__(self, "unary", unary)
-        object.__setattr__(self, "pairwise", pairwise)
+        entries = {}
+        # of several bad keys, the first unary one in input order is named,
+        # else the first pair
+        for events in sorted(self.entries, key=len):
+            match events:
+                case (i,):
+                    if not 1 <= i <= self.n:
+                        raise ValueError(f"unary index {i} outside 1..{self.n}")
+                case (i, j):
+                    if not 1 <= i < j <= self.n:
+                        raise ValueError(f"pairwise key ({i},{j}) invalid for n={self.n}")
+                case _:
+                    raise ValueError(f"entry key {events!r} is not (i,) or (i, j)")
+            entries[events] = as_prob(self.entries[events])
+        object.__setattr__(self, "entries", {
+            events: entries[events] for events in sorted(sorted(entries), key=len)})
 
     @property
     def is_complete(self) -> bool:
-        return len(self.unary) == self.n and len(self.pairwise) == self.n * (self.n - 1) // 2
-
-    def entries(self) -> list[tuple[tuple[int, ...], Fraction]]:
-        """Present entries in canonical order, each keyed by its events:
-        (i,) for the unary entries by index, then the pairs (i, j)."""
-        return [((i,), self.unary[i]) for i in sorted(self.unary)] + sorted(
-            self.pairwise.items())
+        return len(self.entries) == self.n * (self.n + 1) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +281,7 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
     """Parse the key/value correlation-vector format (``n=``, ``p<i>=``,
     ``p<i>,<j>=`` lines; rationals as a/b or exact decimals)."""
     n = None
-    unary: dict[int, Fraction] = {}
-    pairwise: dict[tuple[int, int], Fraction] = {}
+    entries: dict[tuple[int, ...], Fraction] = {}
     for ln in data_lines(text):
         if "=" not in ln:
             raise FormatError(f"bad line: {ln!r}")
@@ -301,25 +298,20 @@ def parse_correlation_vector(text: str) -> CorrelationVector:
         m = _VEC_KEY.match(key)
         if not m:
             raise FormatError(f"bad key: {key!r}")
-        if m.group(2) is None:
-            entries, index = unary, int(m.group(1))
-        else:
-            entries, index = pairwise, (int(m.group(1)), int(m.group(2)))
-        if index in entries:
+        i, j = m.groups()
+        events = (int(i),) if j is None else (int(i), int(j))
+        if events in entries:
             raise FormatError(f"duplicate key: {key!r}")
-        entries[index] = parse_prob(value)
+        entries[events] = parse_prob(value)
     if n is None:
         raise FormatError("missing n=<int> line")
     try:
-        return CorrelationVector(n, unary, pairwise)
+        return CorrelationVector(n, entries)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 
 
 def serialize_correlation_vector(v: CorrelationVector) -> str:
-    lines = [f"n={v.n}"]
-    for i in sorted(v.unary):
-        lines.append(f"p{i}={v.unary[i]}")
-    for i, j in sorted(v.pairwise):
-        lines.append(f"p{i},{j}={v.pairwise[(i, j)]}")
+    lines = [f"n={v.n}"] + [f"p{','.join(map(str, events))}={value}"
+                            for events, value in v.entries.items()]
     return "\n".join(lines) + "\n"

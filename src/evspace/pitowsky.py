@@ -41,13 +41,13 @@ def max_n_from_env() -> int:
 
 def vertex_vector(n: int, mask: int) -> CorrelationVector:
     """The complete correlation vector of the vertex with the given mask:
-    event i is bit n - i, as in ``_mask``, and each pairwise entry is the
-    product of its two unary entries."""
+    event i is bit n - i, as in ``_mask``, and an entry is 1 iff the vertex
+    holds each of its events."""
     if not 0 <= mask < 1 << n:
         raise ValueError(f"mask {mask} outside [0, 2^{n})")
-    bit = {i: ONE if mask >> (n - i) & 1 else ZERO for i in range(1, n + 1)}
-    return CorrelationVector(
-        n, bit, {(i, j): bit[i] * bit[j] for i, j in combinations(bit, 2)})
+    return CorrelationVector(n, {
+        events: ONE if all(mask >> (n - i) & 1 for i in events) else ZERO
+        for size in (1, 2) for events in combinations(range(1, n + 1), size)})
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +67,7 @@ class Witness:
     coeffs: Mapping[tuple[int, ...], int]
 
     def evaluate(self, v: CorrelationVector) -> Fraction:
-        values = {**dict(v.entries()), (): ONE}
+        values = {**v.entries, (): ONE}
         return sum((c * values[events] for events, c in self.coeffs.items()), ZERO)
 
     def render(self) -> str:
@@ -96,12 +96,11 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
     present entries of v.  The certificate is verified by re-substitution."""
     if v.n > max_n:
         raise CapExceededError(f"n={v.n} exceeds cap {max_n}")
-    entries = v.entries()
-    if not entries:
+    if not v.entries:
         raise ValueError("empty correlation vector")
     # column k is the vertex with mask k; its cell in a row is 1 iff it
     # holds every event of the row
-    rows = _rows(v.n, entries)
+    rows = _rows(v.n, v.entries.items())
     size = 1 << v.n
     x, y = solve_feasibility(
         [[1 if k & mask == mask else 0 for k in range(size)] for _, mask, _ in rows],
@@ -186,10 +185,9 @@ def _facets(events: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], ...]:
 def _scaled(v: CorrelationVector) -> dict[tuple[int, ...], int]:
     """v's present entries keyed by their events, as integers over their least
     common denominator d, which is the value of the constant ``()``."""
-    entries = v.entries()
-    d = math.lcm(*(value.denominator for _, value in entries))
+    d = math.lcm(*(value.denominator for value in v.entries.values()))
     return {(): d, **{events: value.numerator * (d // value.denominator)
-                      for events, value in entries}}
+                      for events, value in v.entries.items()}}
 
 
 def _breaks(rows, scaled: Mapping[tuple[int, ...], int]) -> bool:
@@ -203,9 +201,11 @@ def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
     every superset of it is infeasible.  A face is read only when all of its
     entries are present: absent entries are existentially completed."""
     scaled = _scaled(v)
-    return [face for size in (2, 3) for face in combinations(sorted(v.unary), size)
-            if all(map(v.pairwise.__contains__, combinations(face, 2)))
-            and _breaks(_facets(face), scaled)]
+    pairs = [events for events in scaled if len(events) == 2
+             and (events[0],) in scaled and (events[1],) in scaled]
+    triples = [(i, j, k) for i, j in pairs for k in range(j + 1, v.n + 1)
+               if (k,) in scaled and (i, k) in scaled and (j, k) in scaled]
+    return [face for face in (*pairs, *triples) if _breaks(_facets(face), scaled)]
 
 
 def closed_form_n3(v: CorrelationVector) -> bool:
@@ -238,12 +238,11 @@ def build_ranking_vector(doc_priors: Sequence[Fraction],
     if not doc_priors:
         raise ValueError("need at least one document")
     pA = as_prob(pA)
-    m = len(doc_priors)
-    n = m + 1
-    unary = dict(enumerate(doc_priors, 1))
-    unary[n] = pA
-    pairwise = {(i + 1, n): as_prob(doc_likelihoods[i]) * pA for i in range(m)}
-    return CorrelationVector(n, unary, pairwise)
+    n = len(doc_priors) + 1
+    return CorrelationVector(n, {
+        **{(i,): prior for i, prior in enumerate(doc_priors, 1)}, (n,): pA,
+        **{(i, n): as_prob(likelihood) * pA
+           for i, likelihood in enumerate(doc_likelihoods, 1)}})
 
 
 @dataclass(frozen=True)
@@ -260,14 +259,12 @@ class RankingDecomposition:
 
 
 def _restrict(v: CorrelationVector, events: tuple[int, ...]) -> CorrelationVector:
+    """v's entries whose events are all among the ascending events, with
+    event events[k] renumbered k + 1."""
     remap = {orig: k + 1 for k, orig in enumerate(events)}
-    unary = {remap[i]: v.unary[i] for i in events if i in v.unary}
-    pairwise = {}
-    for (i, j), value in v.pairwise.items():
-        if i in remap and j in remap:
-            a, b = sorted((remap[i], remap[j]))
-            pairwise[(a, b)] = value
-    return CorrelationVector(len(events), unary, pairwise)
+    return CorrelationVector(len(events), {
+        renamed: value for key, value in v.entries.items()
+        if None not in (renamed := tuple(map(remap.get, key)))})
 
 
 def _feasibility(v: CorrelationVector, events: tuple[int, ...],
@@ -275,7 +272,7 @@ def _feasibility(v: CorrelationVector, events: tuple[int, ...],
     if len(events) == 1:
         # singleton: weight p on "present", 1-p on "absent"; always feasible,
         # keyed over two events, the fewest a vector has
-        p = v.unary.get(events[0], ZERO)
+        p = v.entries.get((events[0],), ZERO)
         weights = {k: w for k, w in ((0b00, 1 - p), (0b10, p)) if w}
         _verify_weights(_rows(2, [((1,), p)]), weights)
         return PolytopeCertificate(feasible=True, n=2, weights=weights)

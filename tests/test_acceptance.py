@@ -4,6 +4,7 @@ line per criterion (run with -s to see them)."""
 import functools
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 from evspace.admissibility import classify
 from evspace.cli import main
@@ -14,6 +15,7 @@ from evspace.pitowsky import (closed_form_n3, decompose, membership,
                               vertex_vector, violated_faces)
 from evspace.quantum import Field, amplitude_prob, realize
 
+from conftest import complete_vector, rand_prob
 from test_estimation import fixture, random_equal_marginal_table
 from evspace.core import parse_event_table
 
@@ -30,16 +32,6 @@ def criterion(number, title):
             print(f"criterion {number:02d} PASS  {title}")
         return wrapper
     return decorate
-
-
-def rand_prob(rng, max_den=12):
-    den = rng.randint(1, max_den)
-    return F(rng.randint(0, den), den)
-
-
-def complete_vector(n, unary, pairwise):
-    keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return CorrelationVector(n, dict(enumerate(unary, 1)), dict(zip(keys, pairwise)))
 
 
 @criterion(1, "Table-of-samples reproduction (exact)")
@@ -78,9 +70,9 @@ def table_vector(table, names):
                  table.total)
 
     n = len(names)
-    return CorrelationVector(
-        n, {i + 1: freq(i) for i in range(n)},
-        {(i + 1, j + 1): freq(i, j) for i in range(n) for j in range(i + 1, n)})
+    return CorrelationVector(n, {
+        tuple(i + 1 for i in idx): freq(*idx)
+        for size in (1, 2) for idx in combinations(range(n), size)})
 
 
 @criterion(3, "broker pathology (exact)")
@@ -153,11 +145,9 @@ def _check_certificate(v, cert):
         weights = {format(k, f"0{cert.n}b"): w for k, w in cert.weights.items()}
         assert all(w >= 0 for w in weights.values())
         assert sum(weights.values()) == 1
-        for i, value in v.unary.items():
-            assert sum(w for b, w in weights.items() if b[i - 1] == "1") == value
-        for (i, j), value in v.pairwise.items():
+        for events, value in v.entries.items():
             assert sum(w for b, w in weights.items()
-                       if b[i - 1] == "1" and b[j - 1] == "1") == value
+                       if all(b[i - 1] == "1" for i in events)) == value
     else:
         assert cert.witness.evaluate(v) > 0
         for k in range(2 ** v.n):

@@ -1,6 +1,7 @@
 import re
 from decimal import Decimal
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 from hypothesis import given
@@ -152,8 +153,8 @@ class TestCondTriple:
         lambda x: CondTriple(F(1, 2), x, F(1, 2)),
         lambda x: CondTriple(F(1, 2), F(1, 2), x),
         lambda x: CondTriple(F(1, 2), F(1, 2), F(1, 2), marginal=x),
-        lambda x: CorrelationVector(2, {1: x}),
-        lambda x: CorrelationVector(2, {}, {(1, 2): x}),
+        lambda x: CorrelationVector(2, {(1,): x}),
+        lambda x: CorrelationVector(2, {(1, 2): x}),
         lambda x: smooth_triple(CondTriple(F(1), F(1), F(1)),
                                 CondTriple(F(0), F(0), F(0)), (F(0), x, F(0))),
     ], ids=["p", "q", "r", "marginal", "unary", "pairwise", "smooth-coefficient"])
@@ -177,8 +178,8 @@ class TestCorrelationVector:
     def test_parse(self):
         v = parse_correlation_vector("n=3\np1=1/2\np2=0.5\np3=1/2\np1,2=1/4\n")
         assert v.n == 3
-        assert v.unary[2] == F(1, 2)
-        assert v.pairwise[(1, 2)] == F(1, 4)
+        assert v.entries[(2,)] == F(1, 2)
+        assert v.entries[(1, 2)] == F(1, 4)
         assert not v.is_complete
 
     def test_bad_pair_order(self):
@@ -195,10 +196,10 @@ class TestCorrelationVector:
         n = data.draw(st.integers(2, 6))
         value = st.fractions(0, 1, max_denominator=1000)
         present = st.booleans()
-        v = CorrelationVector(
-            n, {i: data.draw(value) for i in range(1, n + 1) if data.draw(present)},
-            {(i, j): data.draw(value) for i in range(1, n)
-             for j in range(i + 1, n + 1) if data.draw(present)})
+        events = range(1, n + 1)
+        v = CorrelationVector(n, {key: data.draw(value) for size in (1, 2)
+                                  for key in combinations(events, size)
+                                  if data.draw(present)})
         text = serialize_correlation_vector(v)
         assert parse_correlation_vector(text) == v
         noisy = "# a vector\n\n" + "".join(
@@ -208,7 +209,50 @@ class TestCorrelationVector:
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
-            CorrelationVector(2, {3: F(1, 2)})
+            CorrelationVector(2, {(3,): F(1, 2)})
+
+    def test_entries_are_stored_in_canonical_order(self):
+        # unary entries by index, then the pairs in lexicographic order,
+        # whatever the order they are given in
+        keys = [(2, 3), (3,), (1, 3), (1,), (1, 2), (2,)]
+        for order in (keys, keys[::-1]):
+            v = CorrelationVector(3, dict.fromkeys(order, F(1, 4)))
+            assert list(v.entries) == [(1,), (2,), (3,), (1, 2), (1, 3), (2, 3)]
+
+    def test_parse_serialize_roundtrip_in_canonical_order(self):
+        text = "n=3\np2,3=1/8\np3=1/2\np1,3=1/8\np1=1/2\np2=1/2\n"
+        v = parse_correlation_vector(text)
+        canonical = "n=3\np1=1/2\np2=1/2\np3=1/2\np1,3=1/8\np2,3=1/8\n"
+        assert serialize_correlation_vector(v) == canonical
+        assert parse_correlation_vector(canonical) == v
+
+    @pytest.mark.parametrize("key, message", [
+        ((0,), "unary index 0 outside 1..3"),
+        ((4,), "unary index 4 outside 1..3"),
+        ((2, 1), "pairwise key (2,1) invalid for n=3"),
+        ((1, 1), "pairwise key (1,1) invalid for n=3"),
+        ((1, 4), "pairwise key (1,4) invalid for n=3"),
+        ((), "entry key () is not (i,) or (i, j)"),
+        ((1, 2, 3), "entry key (1, 2, 3) is not (i,) or (i, j)"),
+    ])
+    def test_bad_key_message(self, key, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CorrelationVector(3, {(1,): F(1, 2), key: F(1, 2)})
+
+    # unary keys are checked first, then pair keys, each in input order
+    @pytest.mark.parametrize("keys, message", [
+        ([(2, 1), (4,)], "unary index 4 outside 1..3"),
+        ([(4,), (2, 1)], "unary index 4 outside 1..3"),
+        ([(5,), (4,)], "unary index 5 outside 1..3"),
+        ([(3, 4), (2, 1)], "pairwise key (3,4) invalid for n=3"),
+        ([(2, 1), (3, 4)], "pairwise key (2,1) invalid for n=3"),
+    ])
+    def test_first_bad_key_reported(self, keys, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CorrelationVector(3, dict.fromkeys(keys, F(1, 2)))
+        text = "n=3\n" + "".join(f"p{','.join(map(str, key))}=1/2\n" for key in keys)
+        with pytest.raises(FormatError, match=f"^{re.escape(message)}$"):
+            parse_correlation_vector(text)
 
     def test_bad_n_names_the_line(self):
         with pytest.raises(FormatError, match="bad n= line: 'n=abc'"):

@@ -13,28 +13,23 @@ from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
                               decompose, membership, vertex_vector,
                               violated_faces)
 
-from conftest import rand_prob
+from conftest import complete_vector, rand_prob
 
 probs = st.fractions(0, 1)
-
-
-def complete_vector(n, unary, pairwise):
-    keys = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-    return CorrelationVector(n, dict(enumerate(unary, 1)), dict(zip(keys, pairwise)))
 
 
 class TestVertexVector:
     def test_mixed_bits(self):
         v = vertex_vector(2, 0b01)
-        assert (v.unary[1], v.unary[2], v.pairwise[(1, 2)]) == (0, 1, 0)
+        assert v.entries == {(1,): 0, (2,): 1, (1, 2): 0}
 
     def test_all_ones(self):
         cv = vertex_vector(3, 0b111)
-        assert set(cv.unary.values()) == {1} and set(cv.pairwise.values()) == {1}
+        assert cv.is_complete and set(cv.entries.values()) == {1}
 
     def test_all_zeros(self):
         cv = vertex_vector(3, 0b000)
-        assert set(cv.unary.values()) == {0} and set(cv.pairwise.values()) == {0}
+        assert cv.is_complete and set(cv.entries.values()) == {0}
 
     def test_mask_out_of_range_rejected(self):
         for mask in (-1, 0b1000):
@@ -48,7 +43,7 @@ class TestVertexVector:
         assert v.is_complete
         for i in range(1, v.n):
             for j in range(i + 1, v.n + 1):
-                assert v.pairwise[(i, j)] == min(v.unary[i], v.unary[j])
+                assert v.entries[(i, j)] == min(v.entries[(i,)], v.entries[(j,)])
 
 
 class TestMembership:
@@ -63,11 +58,9 @@ class TestMembership:
         # the uniform product measure is a valid certificate (the solver may
         # return a different vertex of the solution set)
         uniform = {format(k, "03b"): F(1, 8) for k in range(8)}
-        for i in (1, 2, 3):
-            assert sum(w for b, w in uniform.items() if b[i - 1] == "1") == v.unary[i]
-        for (i, j), value in v.pairwise.items():
+        for events, value in v.entries.items():
             assert sum(w for b, w in uniform.items()
-                       if b[i - 1] == "1" and b[j - 1] == "1") == value
+                       if all(b[i - 1] == "1" for i in events)) == value
 
     def test_n3_eighth_infeasible(self):
         cert = membership(complete_vector(3, [F(1, 2)] * 3, [F(1, 8)] * 3))
@@ -83,8 +76,8 @@ class TestMembership:
 
     def test_partial_vector_existential(self):
         # only one pairwise entry observed; the missing ones are free
-        v = CorrelationVector(3, {1: F(1, 2), 2: F(1, 2), 3: F(1, 2)},
-                              {(1, 3): F(1, 2)})
+        v = CorrelationVector(3, {(1,): F(1, 2), (2,): F(1, 2), (3,): F(1, 2),
+                                  (1, 3): F(1, 2)})
         assert membership(v).feasible
 
     def test_cap(self):
@@ -94,7 +87,7 @@ class TestMembership:
 
     def test_empty_vector(self):
         with pytest.raises(ValueError):
-            membership(CorrelationVector(2, {}, {}))
+            membership(CorrelationVector(2, {}))
 
     def test_convexity_of_feasible_mixtures(self, rng):
         for _ in range(50):
@@ -108,12 +101,9 @@ class TestMembership:
                     vecs.append(v)
                     certs.append(c)
             alpha = rand_prob(rng)
-            mix = complete_vector(
-                2,
-                [alpha * vecs[0].unary[i] + (1 - alpha) * vecs[1].unary[i]
-                 for i in (1, 2)],
-                [alpha * vecs[0].pairwise[(1, 2)]
-                 + (1 - alpha) * vecs[1].pairwise[(1, 2)]])
+            mix = CorrelationVector(2, {
+                key: alpha * vecs[0].entries[key] + (1 - alpha) * vecs[1].entries[key]
+                for key in vecs[0].entries})
             assert membership(mix).feasible
 
 
@@ -254,7 +244,7 @@ class TestFacets:
         for row in table(n):
             values = [Witness(row).evaluate(vertex) for vertex in vertices]
             assert max(values) <= 0, row
-            tight = [[value for _, value in vertex.entries()]
+            tight = [list(vertex.entries.values())
                      for vertex, value in zip(vertices, values) if value == 0]
             assert affine_rank(tight) == n * (n + 1) // 2, row
 
@@ -275,18 +265,17 @@ class TestProposition1Consistency:
 class TestBuildRankingVector:
     def test_single_doc_forced(self):
         v = build_ranking_vector([F(1, 2)], [F(1)], F(1, 2))
-        assert v.unary == {1: F(1, 2), 2: F(1, 2)}
-        assert v.pairwise == {(1, 2): F(1, 2)}
+        assert v.entries == {(1,): F(1, 2), (2,): F(1, 2), (1, 2): F(1, 2)}
 
     def test_two_docs(self):
         v = build_ranking_vector([F(1, 2), F(1, 2)], [F(1, 4), F(1, 4)], F(1, 2))
         assert v.n == 3
-        assert v.unary == {1: F(1, 2), 2: F(1, 2), 3: F(1, 2)}
-        assert v.pairwise == {(1, 3): F(1, 8), (2, 3): F(1, 8)}
+        assert v.entries == {(1,): F(1, 2), (2,): F(1, 2), (3,): F(1, 2),
+                             (1, 3): F(1, 8), (2, 3): F(1, 8)}
 
     def test_overshoot_permitted_then_rejected(self):
         v = build_ranking_vector([F(1, 4)], [F(1)], F(1, 2))
-        assert v.pairwise[(1, 2)] == F(1, 2) > v.unary[1]
+        assert v.entries[(1, 2)] == F(1, 2) > v.entries[(1,)]
         assert not membership(v).feasible
 
     def test_length_mismatch(self):
@@ -341,10 +330,9 @@ def partial_vectors(draw, max_n=5):
     n = draw(st.integers(2, max_n))
     value = st.builds(F, st.integers(0, 8), st.just(8))
     present = st.integers(0, 3).map(bool)
-    unary = {i: draw(value) for i in range(1, n + 1) if draw(present)}
-    pairwise = {(i, j): draw(value) for i in range(1, n)
-                for j in range(i + 1, n + 1) if draw(present)}
-    return CorrelationVector(n, unary, pairwise)
+    events = range(1, n + 1)
+    return CorrelationVector(n, {key: draw(value) for size in (1, 2)
+                                 for key in combinations(events, size) if draw(present)})
 
 
 class TestViolatedFaces:
@@ -358,14 +346,14 @@ class TestViolatedFaces:
     @settings(max_examples=300, deadline=None)
     @given(partial_vectors())
     # breaks only the sum row, with event 4's entries absent
-    @example(CorrelationVector(4, {1: F(1, 2), 2: F(1, 2), 3: F(1, 2)},
-                               dict.fromkeys(combinations((1, 2, 3), 2), F(1, 8))))
+    @example(CorrelationVector(4, {**dict.fromkeys([(1,), (2,), (3,)], F(1, 2)),
+                                   **dict.fromkeys(combinations((1, 2, 3), 2), F(1, 8))}))
     def test_every_infeasible_pair_and_triple_is_listed(self, v):
         faces = violated_faces(v)
 
         def present(face):
-            return (all(i in v.unary for i in face)
-                    and all(pair in v.pairwise for pair in combinations(face, 2)))
+            return all(key in v.entries
+                       for size in (1, 2) for key in combinations(face, size))
 
         def infeasible(face):
             return not membership(_restrict(v, face)).feasible
@@ -379,21 +367,22 @@ class TestViolatedFaces:
                 assert (triple in faces) == infeasible(triple), triple
 
     @settings(max_examples=400, deadline=None)
-    @given(st.sampled_from([2, 3]), st.data())
-    def test_pair_and_triangle_rows_decide_three_events(self, n, data):
+    @given(st.sampled_from([3, 6]).flatmap(lambda size: st.lists(
+        st.builds(F, st.integers(0, 8), st.just(8)), min_size=size, max_size=size)))
+    # breaks only the sum row p1 + p2 + p3 - p1,2 - p1,3 - p2,3 <= 1
+    @example([F(1, 2)] * 3 + [F(1, 8)] * 3)
+    def test_pair_and_triangle_rows_decide_three_events(self, values):
         # COR(2) is cut out by its 4 trivial facets, and COR(3) by its 12
-        # trivial and 4 triangle facets
-        size = n * (n + 1) // 2
-        values = data.draw(st.lists(st.builds(F, st.integers(0, 8), st.just(8)),
-                                    min_size=size, max_size=size))
+        # trivial and 4 triangle facets; 3 values make n = 2 and 6 make n = 3
+        n = 2 if len(values) == 3 else 3
         v = complete_vector(n, values[:n], values[n:])
         assert bool(violated_faces(v)) == (not membership(v).feasible)
 
     def test_absent_entries_are_not_screened(self):
         # p1,2 > p1 would break a pair row, but p2 is absent
-        v = CorrelationVector(3, {1: F(1, 4), 3: F(1, 2)}, {(1, 2): F(1, 2)})
+        v = CorrelationVector(3, {(1,): F(1, 4), (3,): F(1, 2), (1, 2): F(1, 2)})
         assert violated_faces(v) == []
-        v = CorrelationVector(2, {1: F(1, 4), 2: F(1, 2)}, {(1, 2): F(1, 2)})
+        v = CorrelationVector(2, {(1,): F(1, 4), (2,): F(1, 2), (1, 2): F(1, 2)})
         assert violated_faces(v) == [(1, 2)]
 
 
@@ -426,8 +415,8 @@ def test_screened_decompose_equals_the_unscreened_one(rng):
     # no violated face, yet infeasible: p1+p2+p3+p4 - (sum of p_ij) = 27/25 > 1,
     # so the LP still decides the full set; event 5 is independent of the rest
     four = complete_vector(4, [F(9, 20)] * 4, [F(3, 25)] * 6)
-    five = CorrelationVector(5, {**four.unary, 5: F(1, 2)},
-                             {**four.pairwise, **{(i, 5): F(9, 40) for i in range(1, 5)}})
+    five = CorrelationVector(5, {**four.entries, (5,): F(1, 2),
+                                 **{(i, 5): F(9, 40) for i in range(1, 5)}})
     vectors = [four, five]
     while len(vectors) < 42:
         m = rng.randint(1, 5)

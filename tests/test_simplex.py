@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -158,10 +159,9 @@ def _mixture(rng, n=4):
     total = sum(weights)
     vertices = [[rng.randint(0, 1) for _ in range(n)] for _ in weights]
     mean = lambda bit: sum(w * bit(v) for w, v in zip(weights, vertices)) / Fraction(total)
-    unary = {i + 1: mean(lambda v: v[i]) for i in range(n)}
-    pairwise = {(i + 1, j + 1): mean(lambda v: v[i] * v[j])
-                for i in range(n) for j in range(i + 1, n)}
-    return CorrelationVector(n, unary, pairwise)
+    return CorrelationVector(n, {
+        tuple(i + 1 for i in idx): mean(lambda v: all(v[i] for i in idx))
+        for size in (1, 2) for idx in combinations(range(n), size)})
 
 
 def test_no_basis_repeats_and_every_branch_of_the_rule_is_taken(monkeypatch):
