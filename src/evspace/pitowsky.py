@@ -3,9 +3,10 @@
 A correlation vector admits a single event space iff it is a convex
 combination of the 2^n vertex vectors derived from binary strings.  Absent
 pairwise entries contribute no equation: they are existentially completed.
-Feasibility is decided by the exact phase-1 simplex; certificates (weights or
-a Farkas separating functional) are re-verified before being returned.
-``decompose`` first rules out subsets that break a pair or triangle facet.
+A vector that breaks a pair or triangle facet is separated by that facet;
+any other is decided by the exact phase-1 simplex.  Certificates (weights, or
+a facet or Farkas separating functional) are re-verified before being
+returned.  ``decompose`` first rules out subsets that break such a facet.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from itertools import chain, combinations
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .core import (CapExceededError, CorrelationVector, ONE, ZERO, as_prob,
                    parse_digits)
@@ -56,9 +57,10 @@ def vertex_vector(n: int, mask: int) -> CorrelationVector:
 
 @dataclass(frozen=True)
 class Witness:
-    """Integer separating functional: the LP's Farkas vector, one coefficient
-    per row of ``_rows`` keyed by the row's events, in that order.  The sum
-    row's key ``()`` comes last and holds the constant.
+    """Integer separating functional: the LP's Farkas vector or one row of
+    ``_facets``, one coefficient per row of ``_rows`` keyed by the row's
+    events, in that order.  The sum row's key ``()`` comes last and holds
+    the constant.
 
     Evaluates strictly positive on the separated vector and <= 0 on every
     vertex of the polytope.
@@ -92,15 +94,25 @@ class PolytopeCertificate:
 # ---------------------------------------------------------------------------
 
 def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCertificate:
-    """Exact LP membership of v in the correlation polytope, restricted to the
-    present entries of v.  The certificate is verified by re-substitution."""
+    """Membership of v in the correlation polytope, restricted to the present
+    entries of v.  A vector that breaks a pair or triangle row is answered by
+    that row; any other is decided by the exact LP.  The certificate is
+    verified by re-substitution."""
     if v.n > max_n:
         raise CapExceededError(f"n={v.n} exceeds cap {max_n}")
     if not v.entries:
         raise ValueError("empty correlation vector")
+    rows = _rows(v.n, v.entries.items())
+    # the first row broken on the first face ``violated_faces`` lists is a
+    # facet, so it separates v without an LP
+    broken = next(_broken_faces(v.n, _scaled(v)), None)
+    if broken is not None:
+        _, facet = broken
+        witness = Witness({events: facet.get(events, 0) for events, _, _ in rows})
+        _verify_witness(v, witness)
+        return PolytopeCertificate(feasible=False, n=v.n, witness=witness)
     # column k is the vertex with mask k; its cell in a row is 1 iff it
     # holds every event of the row
-    rows = _rows(v.n, v.entries.items())
     size = 1 << v.n
     x, y = solve_feasibility(
         [[1 if k & mask == mask else 0 for k in range(size)] for _, mask, _ in rows],
@@ -190,22 +202,37 @@ def _scaled(v: CorrelationVector) -> dict[tuple[int, ...], int]:
                       for events, value in v.entries.items()}}
 
 
-def _breaks(rows, scaled: Mapping[tuple[int, ...], int]) -> bool:
-    return any(sum(c * scaled[events] for events, c in row.items()) > 0
-               for row in rows)
+def _first_broken(rows, scaled: Mapping[tuple[int, ...], int]
+                  ) -> Optional[dict[tuple[int, ...], int]]:
+    """The first of the rows that is positive on the scaled entries, or
+    None."""
+    return next((row for row in rows
+                 if sum(c * scaled[events] for events, c in row.items()) > 0), None)
+
+
+def _broken_faces(n: int, scaled: Mapping[tuple[int, ...], int]
+                  ) -> Iterator[tuple[tuple[int, ...], dict[tuple[int, ...], int]]]:
+    """Each face of ``violated_faces``, in its order, with the first row of
+    ``_facets(face)`` that the scaled entries break.  The triples are
+    generated lazily, so a caller that wants only the first face stops
+    there."""
+    pairs = [events for events in scaled if len(events) == 2
+             and (events[0],) in scaled and (events[1],) in scaled]
+    triples = ((i, j, k) for i, j in pairs for k in range(j + 1, n + 1)
+               if (k,) in scaled and (i, k) in scaled and (j, k) in scaled)
+    for face in chain(pairs, triples):
+        row = _first_broken(_facets(face), scaled)
+        if row is not None:
+            yield face, row
 
 
 def violated_faces(v: CorrelationVector) -> list[tuple[int, ...]]:
     """The pairs and triples of events whose own entries break a row of
-    ``_facets``.  Each names a restriction of v outside the polytope, so
-    every superset of it is infeasible.  A face is read only when all of its
-    entries are present: absent entries are existentially completed."""
-    scaled = _scaled(v)
-    pairs = [events for events in scaled if len(events) == 2
-             and (events[0],) in scaled and (events[1],) in scaled]
-    triples = [(i, j, k) for i, j in pairs for k in range(j + 1, v.n + 1)
-               if (k,) in scaled and (i, k) in scaled and (j, k) in scaled]
-    return [face for face in (*pairs, *triples) if _breaks(_facets(face), scaled)]
+    ``_facets``: the pairs first, then the triples.  Each names a restriction
+    of v outside the polytope, so every superset of it is infeasible.  A face
+    is read only when all of its entries are present: absent entries are
+    existentially completed."""
+    return [face for face, _ in _broken_faces(v.n, _scaled(v))]
 
 
 def closed_form_n3(v: CorrelationVector) -> bool:
@@ -220,7 +247,7 @@ def closed_form_n3(v: CorrelationVector) -> bool:
         raise ValueError("expected a complete n=3 correlation vector")
     rows = [row for face in (*combinations((1, 2, 3), 2), (1, 2, 3))
             for row in _facets(face)]
-    return not _breaks(rows[:-1], _scaled(v))
+    return _first_broken(rows[:-1], _scaled(v)) is None
 
 
 # ---------------------------------------------------------------------------

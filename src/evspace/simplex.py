@@ -99,14 +99,15 @@ def _entering(tableau: list[list[int]], reduced: list[int]) -> Optional[int]:
     is non-degenerate (no positive entry in a row whose rhs is 0), else the
     most negative overall; ties go to the lowest index."""
     width = len(reduced) - 1
-    costs = sorted((r, j) for j, r in enumerate(reduced[:width]) if r < 0)
-    if not costs:
+    negative = [j for j, r in enumerate(reduced[:width]) if r < 0]
+    if not negative:
         return None
-    zero_rows = [row for row in tableau if not row[width]]
-    for _, j in costs:
-        if all(row[j] <= 0 for row in zero_rows):
-            return j
-    return costs[0][1]
+    free = negative
+    for row in tableau:
+        if not row[width]:
+            free = [j for j in free if row[j] <= 0]
+    # min keeps the first of equal costs, and the columns are ascending
+    return min(free or negative, key=reduced.__getitem__)
 
 
 def _lex_less(row: list[int], coeff: int, best: list[int], best_coeff: int,

@@ -15,7 +15,7 @@ from evspace.pitowsky import (closed_form_n3, decompose, membership,
                               vertex_vector, violated_faces)
 from evspace.quantum import Field, amplitude_prob, realize
 
-from conftest import complete_vector, rand_prob
+from conftest import complete_vector, lp_feasible, rand_prob
 from test_estimation import fixture, random_equal_marginal_table
 from evspace.core import parse_event_table
 
@@ -127,7 +127,7 @@ def test_criterion_6_oracle_equivalence():
     for _ in range(1000):
         v = complete_vector(2, [rand_prob(rng), rand_prob(rng)], [rand_prob(rng)])
         cert = membership(v)
-        assert (violated_faces(v) == []) == cert.feasible
+        assert (violated_faces(v) == []) == cert.feasible == lp_feasible(v)
         _check_certificate(v, cert)
     half = F(1, 2)
     for _ in range(1000):

@@ -98,7 +98,7 @@ class TestVector:
         fields = report_dict(out)
         assert code == 0
         assert fields["feasible"] == "no"
-        assert "witness: 0·p1 + -1·p2 + 1·p1,2 + 0 > 0\n" in out
+        assert "witness: -1·p1 + 0·p2 + 1·p1,2 + 0 > 0\n" in out
 
     def test_membership_golden(self, capsys):
         code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),

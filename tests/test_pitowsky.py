@@ -2,18 +2,19 @@ from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from evspace import pitowsky
 from evspace.admissibility import classify
 from evspace.core import CondTriple, CorrelationVector
 from evspace.pitowsky import (CapExceededError, RankingDecomposition, Witness,
-                              _facets, _feasibility, _restrict, _verify_witness,
-                              build_ranking_vector, closed_form_n3,
-                              decompose, membership, vertex_vector,
-                              violated_faces)
+                              _facets, _feasibility, _normalize_witness,
+                              _restrict, _verify_witness, build_ranking_vector,
+                              closed_form_n3, decompose, membership,
+                              vertex_vector, violated_faces)
 
-from conftest import complete_vector, rand_prob
+from conftest import complete_vector, lp, lp_feasible, rand_prob
 
 probs = st.fractions(0, 1)
 
@@ -118,23 +119,26 @@ def _verify_all_vertices(v, witness):
 
 class TestVerifyWitness:
     def test_agrees_with_every_vertex_check(self, rng):
-        # the LP's witnesses on random infeasible vectors, each also with one
-        # coefficient moved by one, are checked both ways
+        # membership's facet witness and the LP's Farkas witness on random
+        # infeasible vectors, each also with one coefficient moved by one,
+        # are checked both ways
         outcomes = []
-        while len(outcomes) < 300:
+        while len(outcomes) < 600:
             n = rng.randint(2, 5)
             pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
             v = complete_vector(n, [rand_prob(rng, 4) for _ in range(n)],
                                 [rand_prob(rng, 4) for _ in pairs])
-            cert = membership(v)
-            if cert.feasible:
+            rows, x, y = lp(v)
+            if x is not None:
                 continue
-            w = cert.witness
-            # the key () is the constant
-            key = rng.choice(list(w.coeffs))
-            coeffs = dict(w.coeffs)
-            coeffs[key] += rng.choice((-1, 1))
-            for witness in (w, Witness(coeffs)):
+            witnesses = [membership(v).witness, _normalize_witness(rows, y)]
+            for w in list(witnesses):
+                # the key () is the constant
+                key = rng.choice(list(w.coeffs))
+                coeffs = dict(w.coeffs)
+                coeffs[key] += rng.choice((-1, 1))
+                witnesses.append(Witness(coeffs))
+            for witness in witnesses:
                 errors = []
                 for check in (_verify_witness, _verify_all_vertices):
                     try:
@@ -189,7 +193,7 @@ class TestClosedForms:
         for _ in range(300):
             v = complete_vector(2, [rand_prob(rng), rand_prob(rng)],
                                 [rand_prob(rng)])
-            assert (violated_faces(v) == []) == membership(v).feasible
+            assert (violated_faces(v) == []) == membership(v).feasible == lp_feasible(v)
 
     def test_n3_pair_row_at_the_higher_index(self):
         # p2,3 = 1/6 > p3 = 0 breaks the pair row p2,3 <= p3
@@ -341,7 +345,7 @@ class TestViolatedFaces:
     def test_every_face_is_infeasible_on_its_own(self, v):
         for face in violated_faces(v):
             assert len(face) in (2, 3) and list(face) == sorted(set(face))
-            assert not membership(_restrict(v, face)).feasible, face
+            assert not lp_feasible(_restrict(v, face)), face
 
     @settings(max_examples=300, deadline=None)
     @given(partial_vectors())
@@ -356,7 +360,7 @@ class TestViolatedFaces:
                        for size in (1, 2) for key in combinations(face, size))
 
         def infeasible(face):
-            return not membership(_restrict(v, face)).feasible
+            return not lp_feasible(_restrict(v, face))
 
         for pair in filter(present, combinations(range(1, v.n + 1), 2)):
             assert (pair in faces) == infeasible(pair), pair
@@ -376,7 +380,7 @@ class TestViolatedFaces:
         # trivial and 4 triangle facets; 3 values make n = 2 and 6 make n = 3
         n = 2 if len(values) == 3 else 3
         v = complete_vector(n, values[:n], values[n:])
-        assert bool(violated_faces(v)) == (not membership(v).feasible)
+        assert bool(violated_faces(v)) == (not lp_feasible(v))
 
     def test_absent_entries_are_not_screened(self):
         # p1,2 > p1 would break a pair row, but p2 is absent
@@ -384,6 +388,55 @@ class TestViolatedFaces:
         assert violated_faces(v) == []
         v = CorrelationVector(2, {(1,): F(1, 4), (2,): F(1, 2), (1, 2): F(1, 2)})
         assert violated_faces(v) == [(1, 2)]
+
+
+@st.composite
+def complete_vectors(draw, max_n=5):
+    """Complete vectors over eighths."""
+    n = draw(st.integers(2, max_n))
+    values = draw(st.lists(st.builds(F, st.integers(0, 8), st.just(8)),
+                           min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2))
+    return complete_vector(n, values[:n], values[n:])
+
+
+# breaks no pair or triangle row, yet p1+p2+p3+p4 - (sum of p_ij) = 27/25 > 1
+NO_FACE_INFEASIBLE = complete_vector(4, [F(9, 20)] * 4, [F(3, 25)] * 6)
+
+
+class TestFacetScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(partial_vectors(), complete_vectors()))
+    @example(NO_FACE_INFEASIBLE)
+    @example(complete_vector(3, [F(1, 2)] * 3, [F(1, 4)] * 3))
+    def test_verdict_equals_the_lps(self, v):
+        assume(v.entries)
+        assert membership(v).feasible == lp_feasible(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(partial_vectors(), complete_vectors()))
+    def test_witness_is_the_first_broken_row_of_the_first_face(self, v):
+        faces = violated_faces(v)
+        assume(faces)
+        witness = membership(v).witness
+        assert list(witness.coeffs) == [*v.entries, ()]
+        support = {events: c for events, c in witness.coeffs.items() if c}
+        assert all(set(events) <= set(faces[0]) for events in support)
+        # each row is evaluated here in Fractions, not over _scaled's integers
+        broken = [row for row in _facets(faces[0]) if Witness(row).evaluate(v) > 0]
+        assert support == broken[0]
+
+    def test_no_lp_is_built_for_a_vector_with_a_face(self, monkeypatch):
+        def refuse(rows, rhs):
+            raise AssertionError("LP built")
+
+        monkeypatch.setattr(pitowsky, "solve_feasibility", refuse)
+        for v in (complete_vector(2, [F(1, 2)] * 2, [F(3, 5)]),
+                  complete_vector(3, [F(1, 2)] * 3, [F(1, 8)] * 3),
+                  build_ranking_vector([F(1, 4)], [F(1)], F(1, 2))):
+            cert = membership(v)
+            assert not cert.feasible and cert.witness.evaluate(v) > 0
+        with pytest.raises(AssertionError, match="LP built"):
+            membership(NO_FACE_INFEASIBLE)
 
 
 def reference_decompose(v, relevance_index, max_n=12):
@@ -412,9 +465,9 @@ def reference_decompose(v, relevance_index, max_n=12):
 
 
 def test_screened_decompose_equals_the_unscreened_one(rng):
-    # no violated face, yet infeasible: p1+p2+p3+p4 - (sum of p_ij) = 27/25 > 1,
-    # so the LP still decides the full set; event 5 is independent of the rest
-    four = complete_vector(4, [F(9, 20)] * 4, [F(3, 25)] * 6)
+    # the LP still decides the full set of NO_FACE_INFEASIBLE; event 5 is
+    # independent of the rest
+    four = NO_FACE_INFEASIBLE
     five = CorrelationVector(5, {**four.entries, (5,): F(1, 2),
                                  **{(i, 5): F(9, 40) for i in range(1, 5)}})
     vectors = [four, five]
