@@ -58,9 +58,8 @@ def vertex_vector(n: int, mask: int) -> CorrelationVector:
 @dataclass(frozen=True)
 class Witness:
     """Integer separating functional: the LP's Farkas vector or one row of
-    ``_facets``, one coefficient per row of ``_rows`` keyed by the row's
-    events, in that order.  The sum row's key ``()`` comes last and holds
-    the constant.
+    ``_facets``, one coefficient per key of ``_scaled``, in that order: each
+    entry's events, then ``()``, which holds the constant.
 
     Evaluates strictly positive on the separated vector and <= 0 on every
     vertex of the polytope.
@@ -100,28 +99,21 @@ def membership(v: CorrelationVector, max_n: int = DEFAULT_MAX_N) -> PolytopeCert
     verified by re-substitution."""
     if v.n > max_n:
         raise CapExceededError(f"n={v.n} exceeds cap {max_n}")
-    if not v.entries:
-        raise ValueError("empty correlation vector")
-    rows = _rows(v.n, v.entries.items())
+    scaled = _scaled(v)
     # the first row broken on the first face ``violated_faces`` lists is a
     # facet, so it separates v without an LP
-    broken = next(_broken_faces(v.n, _scaled(v)), None)
+    broken = next(_broken_faces(v.n, scaled), None)
     if broken is not None:
         _, facet = broken
-        witness = Witness({events: facet.get(events, 0) for events, _, _ in rows})
+        witness = Witness({events: facet.get(events, 0) for events in scaled})
         _verify_witness(v, witness)
         return PolytopeCertificate(feasible=False, n=v.n, witness=witness)
-    # column k is the vertex with mask k; its cell in a row is 1 iff it
-    # holds every event of the row
-    size = 1 << v.n
-    x, y = solve_feasibility(
-        [[1 if k & mask == mask else 0 for k in range(size)] for _, mask, _ in rows],
-        [value for _, _, value in rows])
+    x, y = _lp(v.n, scaled)
     if x is not None:
         weights = {k: w for k, w in enumerate(x) if w}
-        _verify_weights(rows, weights)
+        _verify_weights(v.n, v.entries, weights)
         return PolytopeCertificate(feasible=True, n=v.n, weights=weights)
-    witness = _normalize_witness(rows, y)
+    witness = _normalize_witness(scaled, y)
     _verify_witness(v, witness)
     return PolytopeCertificate(feasible=False, n=v.n, witness=witness)
 
@@ -132,29 +124,37 @@ def _mask(n: int, events: Sequence[int]) -> int:
     return sum(1 << (n - i) for i in events)
 
 
-def _rows(n: int, entries) -> list[tuple[tuple[int, ...], int, Fraction]]:
-    """(events, mask, value) for each entry, then the sum row ((), 0, 1): a
-    vertex k counts towards a row iff k & mask == mask."""
-    rows = [(events, _mask(n, events), value) for events, value in entries]
-    rows.append(((), 0, ONE))
-    return rows
+def _lp(n: int, scaled: Mapping[tuple[int, ...], int]
+        ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
+    """``solve_feasibility`` on one row per key of scaled, its value the rhs,
+    and one column per vertex mask k, 1 in a row iff k holds the row's
+    events.  x is divided by ``scaled[()]``, so it holds the weights."""
+    x, y = solve_feasibility(
+        [[1 if k & mask == mask else 0 for k in range(1 << n)]
+         for mask in (_mask(n, events) for events in scaled)],
+        list(scaled.values()))
+    if x is not None:
+        x = [w / scaled[()] if w else w for w in x]
+    return x, y
 
 
-def _normalize_witness(rows, y: Sequence[Fraction]) -> Witness:
-    """The Farkas vector y over the rows from ``_rows``, scaled to coprime
+def _normalize_witness(keys, y: Sequence[Fraction]) -> Witness:
+    """The Farkas vector y, one coefficient per key, scaled to coprime
     integers."""
     scale = math.lcm(*(c.denominator for c in y))
     ints = [int(c * scale) for c in y]
     g = math.gcd(*ints) or 1
-    return Witness({events: c // g for (events, _, _), c in zip(rows, ints)})
+    return Witness({events: c // g for events, c in zip(keys, ints)})
 
 
-def _verify_weights(rows, weights: Mapping[int, Fraction]) -> None:
-    """Re-substitute the weights into the rows from ``_rows``: the sign of
-    each weight first, then the sum row, then the entries."""
+def _verify_weights(n: int, entries: Mapping[tuple[int, ...], Fraction],
+                    weights: Mapping[int, Fraction]) -> None:
+    """Re-substitute the weights of the vertices of n events: the sign of
+    each weight first, then the sum 1 under ``()``, then the entries."""
     if any(w < 0 for w in weights.values()):
         raise RuntimeError("certificate has negative weight")
-    for events, mask, value in (rows[-1], *rows[:-1]):
+    for events, value in {(): ONE, **entries}.items():
+        mask = _mask(n, events)
         if sum(w for k, w in weights.items() if k & mask == mask) != value:
             if not events:
                 raise RuntimeError("certificate weights do not sum to 1")
@@ -195,11 +195,11 @@ def _facets(events: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], ...]:
 
 
 def _scaled(v: CorrelationVector) -> dict[tuple[int, ...], int]:
-    """v's present entries keyed by their events, as integers over their least
-    common denominator d, which is the value of the constant ``()``."""
+    """v's present entries as integers over their least common denominator
+    d, then d under ``()``: the facet screen, ``_lp`` and ``Witness`` keys."""
     d = math.lcm(*(value.denominator for value in v.entries.values()))
-    return {(): d, **{events: value.numerator * (d // value.denominator)
-                      for events, value in v.entries.items()}}
+    return {**{events: value.numerator * (d // value.denominator)
+               for events, value in v.entries.items()}, (): d}
 
 
 def _first_broken(rows, scaled: Mapping[tuple[int, ...], int]
@@ -301,7 +301,7 @@ def _feasibility(v: CorrelationVector, events: tuple[int, ...],
         # keyed over two events, the fewest a vector has
         p = v.entries.get((events[0],), ZERO)
         weights = {k: w for k, w in ((0b00, 1 - p), (0b10, p)) if w}
-        _verify_weights(_rows(2, [((1,), p)]), weights)
+        _verify_weights(2, {(1,): p}, weights)
         return PolytopeCertificate(feasible=True, n=2, weights=weights)
     return membership(_restrict(v, events), max_n)
 

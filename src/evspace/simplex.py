@@ -12,19 +12,15 @@ lexicographically positive, so no basis repeats whichever column enters
 (Dantzig, Orden & Wolfe, The generalized simplex method, Pacific J. Math.
 5, 1955).
 
-A is integral.  The tableau holds Python ints over one positive common
-denominator d: the true tableau is always T / d.  b is scaled by the lcm of
-its denominators; one positive factor on the rhs changes no sign and no
-ratio order, so the rule takes the same pivots as on the rational tableau.
-Each pivot is Edmonds' integer-preserving update, in which every division
-by d is exact (J. Edmonds, J. Res. NBS 71B, 1967).
+A and b are integral.  The tableau holds Python ints over one positive
+common denominator d: the true tableau is always T / d.  Each pivot is
+Edmonds' integer-preserving update, in which every division by d is exact
+(J. Edmonds, J. Res. NBS 71B, 1967).
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from numbers import Rational
 from typing import Optional, Sequence
 
 ZERO = Fraction(0)
@@ -32,23 +28,24 @@ ZERO = Fraction(0)
 
 def solve_feasibility(
     rows: Sequence[Sequence[int]],
-    rhs: Sequence[Rational],
+    rhs: Sequence[int],
 ) -> tuple[Optional[list[Fraction]], Optional[list[Fraction]]]:
     """Return (x, None) with A x = b, x >= 0, or (None, y) with the Farkas
-    certificate y.A <= 0, y.b > 0 when no such x exists.  A's entries are
-    ints; b's are ints or Fractions."""
+    certificate y.A <= 0, y.b > 0 when no such x exists.  A's and b's
+    entries are ints; a b entry that is not raises TypeError."""
     m = len(rows)
     if m == 0:
         return [], None
     n = len(rows[0])
     if any(len(row) != n for row in rows):
         raise ValueError("ragged constraint matrix")
-    scale_b = math.lcm(*{v.denominator for v in rhs})
+    if not all(isinstance(b, int) for b in rhs):
+        raise TypeError("rhs entries must be ints")
     signs = [1] * m
     tableau: list[list[int]] = []
     for i in range(m):
         row = rows[i]
-        b = rhs[i].numerator * (scale_b // rhs[i].denominator)
+        b = rhs[i]
         if b < 0:
             row = [-v for v in row]
             b = -b
@@ -86,11 +83,10 @@ def solve_feasibility(
         # dual from the artificial columns: r_{art i} = 1 - y_i
         y = [Fraction(d - reduced[n + i], d) * signs[i] for i in range(m)]
         return None, y
-    # the scaled system's solution is x * scale_b
     x = [ZERO] * n
     for i in range(m):
         if basis[i] < n:
-            x[basis[i]] = Fraction(tableau[i][width], d * scale_b)
+            x[basis[i]] = Fraction(tableau[i][width], d)
     return x, None
 
 

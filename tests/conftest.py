@@ -5,8 +5,7 @@ from itertools import combinations
 import pytest
 
 from evspace.core import CorrelationVector
-from evspace.pitowsky import _rows
-from evspace.simplex import solve_feasibility
+from evspace.pitowsky import _lp, _scaled
 
 
 def rand_prob(rng: random.Random, max_den: int = 12) -> Fraction:
@@ -23,17 +22,13 @@ def complete_vector(n, unary, pairwise):
 
 
 def lp(v):
-    """The LP for v with no facet screen: ``solve_feasibility`` over the rows
-    of ``_rows``, one column per vertex mask.  Returns (rows, x, y)."""
-    rows = _rows(v.n, v.entries.items())
-    x, y = solve_feasibility(
-        [[1 if k & mask == mask else 0 for k in range(1 << v.n)] for _, mask, _ in rows],
-        [value for _, _, value in rows])
-    return rows, x, y
+    """The LP for v with no facet screen: ``_lp`` over ``_scaled(v)``.
+    Returns (x, y)."""
+    return _lp(v.n, _scaled(v))
 
 
 def lp_feasible(v) -> bool:
-    return lp(v)[1] is not None
+    return lp(v)[0] is not None
 
 
 @pytest.fixture

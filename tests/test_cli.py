@@ -109,6 +109,35 @@ class TestVector:
             "feasible: no\n"
             "witness: 1·p1 + 1·p2 + 1·p3 + -1·p1,2 + -1·p1,3 + -1·p2,3 + -1 > 0\n")
 
+    def test_lp_witness_golden(self, tmp_path, capsys):
+        # breaks no pair or triangle row, so the LP's Farkas vector is the
+        # witness: p1 + p2 + p3 + p4 - (sum of p_ij) = 27/25 > 1
+        vec = tmp_path / "v.vec"
+        vec.write_text("n=4\n" + "".join(f"p{i}=9/20\n" for i in range(1, 5))
+                       + "".join(f"p{i},{j}=3/25\n"
+                                 for i in range(1, 5) for j in range(i + 1, 5)))
+        code, out, err = run(capsys, "vector", str(vec), "membership")
+        assert (code, err) == (0, "")
+        assert out == (
+            "n: 4\n"
+            "feasible: no\n"
+            "witness: 1·p1 + 1·p2 + 1·p3 + 1·p4 + -1·p1,2 + -1·p1,3 + -1·p1,4"
+            " + -1·p2,3 + -1·p2,4 + -1·p3,4 + -1 > 0\n")
+
+    def test_decompose_reaches_a_subset_with_no_entries(self, tmp_path, capsys):
+        # leaving event 1 out leaves {2, 3}, which holds no entry
+        vec = tmp_path / "v.vec"
+        vec.write_text("n=3\np1=0\np1,2=1\n")
+        code, out, err = run(capsys, "vector", str(vec), "decompose", "--relevance", "2")
+        assert (code, err) == (0, "")
+        assert out == (
+            "n: 3\n"
+            "subsets: 2\n"
+            "subset.1.events: 2,3\n"
+            "subset.1.weight.00: 1\n"
+            "subset.2.events: 1\n"
+            "subset.2.weight.00: 1\n")
+
     def test_decompose_golden(self, capsys):
         code, out, _ = run(capsys, "vector", fixture_path("vec_n3_gap.vec"),
                            "decompose")
@@ -226,7 +255,8 @@ class TestVector:
         assert err == "error: not a rational literal: '1e-3'\n"
 
     @pytest.mark.parametrize("x, y, message", [
-        ([Fraction(1), 0, 0, 0], None, "certificate fails to reproduce p1"),
+        # x is over the vector's denominator 4: vertex 00 gets weight 1
+        ([Fraction(4), 0, 0, 0], None, "certificate fails to reproduce p1"),
         (None, [0, 0, 0, Fraction(1)], "witness fails on a polytope vertex"),
         ([0, 0, 0, 0], None, "certificate weights do not sum to 1"),
         ([Fraction(3, 2), Fraction(-1, 2), 0, 0], None,

@@ -87,8 +87,9 @@ class TestMembership:
             membership(v, max_n=1)
 
     def test_empty_vector(self):
-        with pytest.raises(ValueError):
-            membership(CorrelationVector(2, {}))
+        # the sum row alone: all the weight on one vertex
+        cert = membership(CorrelationVector(2, {}))
+        assert cert.feasible and cert.weights == {0b00: F(1)}
 
     def test_convexity_of_feasible_mixtures(self, rng):
         for _ in range(50):
@@ -128,10 +129,10 @@ class TestVerifyWitness:
             pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
             v = complete_vector(n, [rand_prob(rng, 4) for _ in range(n)],
                                 [rand_prob(rng, 4) for _ in pairs])
-            rows, x, y = lp(v)
+            x, y = lp(v)
             if x is not None:
                 continue
-            witnesses = [membership(v).witness, _normalize_witness(rows, y)]
+            witnesses = [membership(v).witness, _normalize_witness([*v.entries, ()], y)]
             for w in list(witnesses):
                 # the key () is the constant
                 key = rng.choice(list(w.coeffs))
@@ -414,11 +415,16 @@ class TestFacetScreen:
 
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(partial_vectors(), complete_vectors()))
+    @example(NO_FACE_INFEASIBLE)
     def test_witness_is_the_first_broken_row_of_the_first_face(self, v):
-        faces = violated_faces(v)
-        assume(faces)
-        witness = membership(v).witness
+        cert = membership(v)
+        assume(not cert.feasible)
+        # the LP's Farkas witness is keyed as a facet row is
+        witness = cert.witness
         assert list(witness.coeffs) == [*v.entries, ()]
+        faces = violated_faces(v)
+        if not faces:
+            return
         support = {events: c for events, c in witness.coeffs.items() if c}
         assert all(set(events) <= set(faces[0]) for events in support)
         # each row is evaluated here in Fractions, not over _scaled's integers
@@ -462,6 +468,19 @@ def reference_decompose(v, relevance_index, max_n=12):
 
     split(tuple(range(1, v.n + 1)))
     return RankingDecomposition(tuple(subsets))
+
+
+@settings(max_examples=200, deadline=None)
+@given(partial_vectors())
+# leaving event 1 out leaves {2, 3}, which holds no entry
+@example(CorrelationVector(3, {(1,): F(0), (1, 2): F(1)}))
+def test_decompose_partitions_the_events_at_every_relevance_index(v):
+    for relevance in range(1, v.n + 1):
+        dec = decompose(v, relevance)
+        events = [e for indices, _ in dec.subsets for e in indices]
+        assert sorted(events) == list(range(1, v.n + 1)), relevance
+        assert all(cert.feasible for _, cert in dec.subsets)
+        assert dec == reference_decompose(v, relevance), relevance
 
 
 def test_screened_decompose_equals_the_unscreened_one(rng):

@@ -88,14 +88,9 @@ def _reference_pivot(tableau, reduced, basis, leave, enter, width):
 
 
 def _entry(rng):
-    """Zero, a negative or positive int, or a fraction: small values so that
-    ratio ties and degenerate pivots occur."""
-    kind = rng.randrange(4)
-    if kind == 0:
-        return 0
-    if kind == 1:
-        return rng.randint(-3, 3)
-    return Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+    """Zero or a small negative or positive int, so that ratio ties and
+    degenerate pivots occur."""
+    return 0 if rng.randrange(4) == 0 else rng.randint(-6, 6)
 
 
 def _coefficient(rng):
@@ -107,9 +102,9 @@ def random_lp(rng):
     m, n = rng.randint(1, 5), rng.randint(1, 8)
     rows = [[_coefficient(rng) for _ in range(n)] for _ in range(m)]
     if rng.random() < 0.5:
-        # feasible by construction: b = A x0 with x0 >= 0
-        x0 = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(n)]
-        rhs = [sum((a * x for a, x in zip(row, x0)), ZERO) for row in rows]
+        # feasible by construction: b = A x0 with x0 >= 0 integral
+        x0 = [rng.randint(0, 4) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
     else:
         rhs = [_entry(rng) for _ in range(m)]
     return rows, rhs
@@ -209,7 +204,14 @@ def test_no_rows():
 
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError, match="ragged"):
-        solve_feasibility([[1, 0], [1]], [Fraction(1, 2), 1])
+        solve_feasibility([[1, 0], [1]], [2, 1])
+
+
+@pytest.mark.parametrize("b", [Fraction(1, 2), Fraction(1), 1.0])
+def test_non_int_rhs_rejected(b):
+    # the tableau's divisions by its common denominator are exact only on ints
+    with pytest.raises(TypeError, match="rhs entries must be ints"):
+        solve_feasibility([[1, 0], [1, 1]], [1, b])
 
 
 def sorted_candidates_entering(tableau, reduced):
